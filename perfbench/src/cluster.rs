@@ -26,7 +26,7 @@ use crate::Ctx;
 /// Replicas in the cluster.
 const REPLICAS: usize = 3;
 /// Arrivals per latency window.
-const WINDOW: usize = 1000;
+const WINDOW: usize = 200;
 
 /// E16's supervision knobs: a deadline two requests deep, probes every
 /// four ticks, hedging on, and a restart backoff short enough that the
@@ -261,7 +261,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         let lat: Vec<f64> = passes.iter().flat_map(|p| p.latency_us.iter().copied()).collect();
         ctx.setup(&setups, "model load, cluster construction with checkpoint writes, warm-up");
         let what = "per arrival, burst submission to serve_trace return";
-        ctx.latency(&lat, WINDOW, WINDOW, what);
+        ctx.latency(&lat, WINDOW, what);
         let rates: Vec<f64> = passes.iter().map(|p| p.model as f64 / p.elapsed_s).collect();
         ctx.throughput(
             &rates,

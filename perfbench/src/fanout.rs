@@ -26,7 +26,7 @@ use crate::Ctx;
 const FULL_CHANCE: f64 = 0.6;
 
 /// Answers per latency window.
-const WINDOW: usize = 1000;
+const WINDOW: usize = 200;
 
 /// Lane configuration: a queue shallower than the largest burst, so burst
 /// shedding exercises admission control.
@@ -276,7 +276,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
     if !ctx.traced {
         let lat: Vec<f64> = passes.iter().flat_map(|p| p.latency_us.iter().copied()).collect();
         ctx.setup(&setups, "backbone and head load, server construction, warm-up");
-        ctx.latency(&lat, WINDOW, WINDOW, "per answer, burst start to drain return");
+        ctx.latency(&lat, WINDOW, "per answer, burst start to drain return");
         let rates: Vec<f64> = passes.iter().map(|p| p.model as f64 / p.elapsed_s).collect();
         ctx.throughput(
             &rates,

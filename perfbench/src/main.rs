@@ -23,7 +23,7 @@
 //! second at capacity on `serve-open`, per pass on the cluster, sequences
 //! per second on `train`) and `model_answer_ratio` (model answers over
 //! requests sent; shed and fallback answers count against it). Timings
-//! are taken over many short windows and reported over the fastest fifth
+//! are taken over many short windows and reported over the fastest twentieth
 //! of them (`util::fast_windows` says why). With `--trace 1` it records
 //! spans around every call into the library, writes them to
 //! `.bench_work/traces/`, and reports the per-layer ledger (`ledger.rs`).
@@ -56,7 +56,7 @@ use report::{Report, END_TO_END, PER_LAYER};
 use trace::Tracer;
 use util::Summary;
 
-/// Set-ups per untraced run; `setup_s` is the mean of their fastest fifth.
+/// Set-ups per untraced run; `setup_s` is the mean of their fastest twentieth.
 const SETUP_REPS: usize = 21;
 
 /// Where inputs and traces live, relative to the checkout root.
@@ -163,49 +163,50 @@ impl Ctx {
         }
     }
 
-    /// Report `setup_s`: the mean of the fastest fifth of the set-ups.
+    /// Report `setup_s`: the mean of the fastest twentieth of the set-ups.
     pub fn setup(&mut self, samples: &[f64], what: &str) {
         let detail = format!(
-            "{what}; mean of the fastest fifth of {} set-ups, median {:.6}",
+            "{what}; mean of the fastest twentieth of {} set-ups, median {:.6}",
             samples.len(),
             util::median(samples)
         );
         self.report.put("setup_s", util::fast_mean(samples, true), detail);
     }
 
-    /// Report operation latency, in time order, as `p50_us` (the mean of
-    /// the fastest fifth of the p50s of windows of `w50` samples) and
-    /// `p99_us` (the same over the p99s of windows of `w99` samples).
-    pub fn latency(&mut self, samples: &[f64], w50: usize, w99: usize, what: &str) {
-        let stat = |w: usize, q: fn(&Summary) -> f64| -> Vec<f64> {
-            samples.chunks(w).map(|c| q(&Summary::of(c))).collect()
-        };
-        let (p50s, p99s) = (stat(w50, |s| s.p50), stat(w99, |s| s.p99));
-        let all = Summary::of(samples);
-        let support = match util::tail_quantile(w99) {
-            Some(q) if q >= 0.99 => "each window's p99 has >= 10 samples beyond it".to_string(),
-            Some(q) => format!("{w99}-sample windows support only p{}", q * 100.0),
-            None => format!("{w99}-sample windows are too small for a tail percentile"),
+    /// Report operation latency, in time order, over windows of `w`
+    /// samples: `p50_us` is the mean of the fastest twentieth of the window
+    /// medians, `p99_us` the p99 of the samples of the fastest tenth of the
+    /// windows (ranked by median).
+    pub fn latency(&mut self, samples: &[f64], w: usize, what: &str) {
+        let windows: Vec<&[f64]> = samples.chunks(w).collect();
+        let medians: Vec<f64> = windows.iter().map(|c| util::median(c)).collect();
+        let pooled: Vec<f64> = util::fast_windows(&medians, util::TAIL_SHARE)
+            .iter()
+            .flat_map(|&i| windows[i].iter().copied())
+            .collect();
+        let tail = Summary::of(&pooled);
+        let support = match tail.tail_q {
+            Some(q) if q >= 0.99 => "p99 has >= 10 samples beyond it".to_string(),
+            Some(q) => format!("samples support only p{}", q * 100.0),
+            None => "too few samples for a tail percentile".to_string(),
         };
         let detail = format!(
-            "{what}; mean of the fastest fifth of {} windows of {w50}; whole run {}",
-            p50s.len(),
-            all.describe()
+            "{what}; mean of the fastest twentieth of {} window medians (windows of {w}); \
+             whole run {}",
+            windows.len(),
+            Summary::of(samples).describe()
         );
-        self.report.put("p50_us", util::fast_mean(&p50s, true), detail);
-        let detail = format!(
-            "mean of the fastest fifth of {} windows of {w99} ({support}); median window {:.1}",
-            p99s.len(),
-            util::median(&p99s)
-        );
-        self.report.put("p99_us", util::fast_mean(&p99s, true), detail);
+        self.report.put("p50_us", util::fast_mean(&medians, true), detail);
+        let detail =
+            format!("p99 of the {} samples of the fastest tenth of windows ({support})", tail.n);
+        self.report.put("p99_us", tail.p99, detail);
     }
 
-    /// Report `throughput_per_s`: the mean of the fastest fifth of
+    /// Report `throughput_per_s`: the mean of the fastest twentieth of
     /// per-window rates.
     pub fn throughput(&mut self, per_window: &[f64], what: &str) {
         let detail = format!(
-            "{what}; mean of the fastest fifth of {} windows, median {:.1}",
+            "{what}; mean of the fastest twentieth of {} windows, median {:.1}",
             per_window.len(),
             util::median(per_window)
         );

@@ -1,12 +1,13 @@
 //! Metric names, the report table and the one-line JSON result.
 
 /// End-to-end metrics (`--trace 0`), with units. Every workload reports
-/// every one of them.
+/// every one of them. The run also prints `p99_us` in its table, but on a
+/// shared 2-core host its spread across seeds (15-66% over ten runs) is
+/// too wide for a regression bound, so it is not part of the result.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
     ("p50_us", "us"),
-    ("p99_us", "us"),
     ("throughput_per_s", "1/s"),
     ("model_answer_ratio", "ratio"),
 ];
@@ -92,7 +93,8 @@ impl Report {
     /// The human-readable table, one metric per line with unit and detail.
     pub fn table(&self) -> String {
         let unit = |name: &str| {
-            END_TO_END.iter().chain(PER_LAYER).find(|(n, _)| *n == name).map_or("", |(_, u)| u)
+            let listed = END_TO_END.iter().chain(PER_LAYER).find(|(n, _)| *n == name);
+            listed.map_or(if name.ends_with("_us") { "us" } else { "" }, |(_, u)| u)
         };
         let mut s = String::new();
         for r in &self.rows {

@@ -12,10 +12,8 @@ use crate::trace::Tracer;
 use crate::util::{poisson_arrivals, sub_seed, Summary};
 use crate::Ctx;
 
-/// Requests per p50 window of the reference phase.
-const P50_WINDOW: usize = 200;
-/// Requests per p99 window: enough for a p99 with ten samples beyond it.
-const P99_WINDOW: usize = 1000;
+/// Requests per latency window of the reference phase.
+const WINDOW: usize = 200;
 /// Wall time of one throughput window of the saturation phase, s.
 const RATE_WINDOW_S: f64 = 0.1;
 
@@ -60,7 +58,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
     if !ctx.traced {
         ctx.setup(&setups, "model load, engine construction, warm-up");
         let what = "per request at 1000 req/s, due to drain return";
-        ctx.latency(&ol.latency_us, P50_WINDOW, P99_WINDOW, what);
+        ctx.latency(&ol.latency_us, WINDOW, what);
         ctx.report.put(
             "model_answer_ratio",
             ol.model_ratio(),

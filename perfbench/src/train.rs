@@ -22,10 +22,8 @@ use crate::Ctx;
 /// fine-tuning examples each).
 const CORPUS_CAP: usize = 96;
 
-/// Rounds per p50 window.
-const P50_ROUNDS: usize = 3;
-/// Rounds per p99 window (too few for a true p99; the report says so).
-const P99_ROUNDS: usize = 10;
+/// Rounds per latency window.
+const WINDOW_ROUNDS: usize = 3;
 
 /// A training corpus.
 pub struct Corpus {
@@ -179,7 +177,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
     let budget = ctx.seconds * if ctx.traced { 0.3 } else { 1.0 };
     let t = Instant::now();
     let mut rounds = Vec::new();
-    while rounds.len() < P99_ROUNDS || t.elapsed().as_secs_f64() < budget {
+    while rounds.len() < WINDOW_ROUNDS || t.elapsed().as_secs_f64() < budget {
         let (r, enc) = round(&corpus, &vocab, ctx.seed, &mut ctx.tracer)?;
         let ok = r.clean && param_bits(&enc) == reference;
         ctx.ops(1, usize::from(!ok));
@@ -192,7 +190,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         let lat: Vec<f64> = rounds.iter().map(|r| (r.pretrain_s + r.finetune_s) * 1e6).collect();
         ctx.setup(&setups, "corpus load and vocabulary build");
         let what = "per round: one pretraining epoch + one fine-tuning epoch";
-        ctx.latency(&lat, P50_ROUNDS, P99_ROUNDS, what);
+        ctx.latency(&lat, WINDOW_ROUNDS, what);
         let rates: Vec<f64> = lat.iter().map(|us| n / (us / 1e6)).collect();
         ctx.throughput(
             &rates,

@@ -77,30 +77,34 @@ pub fn tail_quantile(n: usize) -> Option<f64> {
     [0.999, 0.99, 0.95, 0.9, 0.75, 0.5].into_iter().find(|q| (n as f64) * (1.0 - q) >= 10.0 - 1e-9)
 }
 
-/// Share of a run's windows counted as its fast periods.
-pub const FAST_SHARE: f64 = 0.2;
+/// Share of a run's windows whose values `fast_mean` averages.
+pub const FAST_SHARE: f64 = 0.05;
+/// Share of a run's windows whose samples a tail percentile pools: wider
+/// than [`FAST_SHARE`], so the tail rests on enough samples.
+pub const TAIL_SHARE: f64 = 0.1;
 
-/// Indices of the fastest [`FAST_SHARE`] of windows (at least one), by a
+/// Indices of the fastest `share` of windows (at least one), by a
 /// per-window time where lower is faster.
 ///
 /// Shared hosts alternate between unimpeded and contended periods, from a
 /// tenth of a second to many seconds long, that slow every instruction
 /// alike (by ~1.6x on the 2-core host these figures were tuned on); a
-/// run's median then mostly says which periods the run caught. Measuring
-/// over the fastest fifth of many short windows measures the program in
-/// its unimpeded periods, and still moves with any change that slows every
-/// window. A change that slows only some windows shows less or not at all.
-pub fn fast_windows(times: &[f64]) -> Vec<usize> {
+/// run's median then mostly says which periods the run caught, and a run
+/// can spend most of a minute contended. Measuring over the fastest
+/// twentieth of many short windows measures the program in its unimpeded
+/// periods, and still moves with any change that slows every window. A
+/// change that slows only some windows shows less or not at all.
+pub fn fast_windows(times: &[f64], share: f64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..times.len()).collect();
     idx.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-    idx.truncate(((times.len() as f64 * FAST_SHARE).ceil() as usize).max(1));
+    idx.truncate(((times.len() as f64 * share).ceil() as usize).max(1));
     idx
 }
 
 /// Mean of the best [`FAST_SHARE`] of per-window values.
 pub fn fast_mean(values: &[f64], lower_is_better: bool) -> f64 {
     let keys: Vec<f64> = values.iter().map(|&v| if lower_is_better { v } else { -v }).collect();
-    let idx = fast_windows(&keys);
+    let idx = fast_windows(&keys, FAST_SHARE);
     idx.iter().map(|&i| values[i]).sum::<f64>() / idx.len() as f64
 }
 
@@ -208,12 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn fast_windows_pick_the_fastest_fifth() {
-        let v: Vec<f64> = (0..10).rev().map(f64::from).collect();
-        assert_eq!(fast_windows(&v), vec![9, 8]);
-        assert_eq!(fast_windows(&[3.0]), vec![0]);
+    fn fast_windows_pick_the_fastest_twentieth() {
+        let v: Vec<f64> = (0..40).rev().map(f64::from).collect();
+        assert_eq!(fast_windows(&v, FAST_SHARE), vec![39, 38]);
+        assert_eq!(fast_windows(&v, TAIL_SHARE), vec![39, 38, 37, 36]);
+        assert_eq!(fast_windows(&[3.0], FAST_SHARE), vec![0]);
         assert_eq!(fast_mean(&v, true), 0.5);
-        assert_eq!(fast_mean(&v, false), 8.5);
+        assert_eq!(fast_mean(&v, false), 38.5);
     }
 
     #[test]
