@@ -1,12 +1,10 @@
-//! `cluster-crash`: a three-replica [`ClusterSupervisor`] over a corrupted,
-//! bursty capture. Replica 0 crashes a third of the way through every pass,
-//! so routing, canary probes, hedges and warm restarts from checkpoint
-//! files all run. Each burst is one `serve_trace` call (one cluster tick),
-//! so every arrival is timed from outside.
+//! The cluster layer's replay: a three-replica [`ClusterSupervisor`] serves
+//! the workload's capture in seeded bursts, and replica 0 crashes a third of
+//! the way through, so routing, canary probes, hedges and warm restarts
+//! from checkpoint files all run. Each burst is one `serve_trace` call (one
+//! cluster tick).
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
-use std::time::Instant;
 
 use nfm_core::cluster::{ClusterConfig, ClusterStats, ClusterSupervisor};
 use nfm_core::pipeline::FmClassifier;
@@ -17,16 +15,13 @@ use nfm_net::flow::FlowTable;
 use nfm_traffic::faults::{ReplicaFault, ReplicaFaultKind};
 
 use crate::fanout::Stream;
-use crate::ledger::{self, Input};
 use crate::prep::MAX_TOKENS;
-use crate::serving::{fallback, load_capture, load_model, serve_config};
+use crate::serving::{fallback, serve_config};
 use crate::trace::Tracer;
 use crate::Ctx;
 
 /// Replicas in the cluster.
 const REPLICAS: usize = 3;
-/// Arrivals per latency window.
-const WINDOW: usize = 200;
 
 /// E16's supervision knobs: a deadline two requests deep, probes every
 /// four ticks, hedging on, and a restart backoff short enough that the
@@ -115,8 +110,7 @@ fn bursts(
     (subs, expected)
 }
 
-/// One crash pass of a fresh cluster over `trace`, for the ledger's
-/// cluster rows on workloads that run no cluster of their own.
+/// One crash pass of a fresh cluster over `trace`, for the cluster rows.
 pub fn replay(ctx: &mut Ctx, trace: &Trace, clf: &FmClassifier) -> Result<(), String> {
     let (requests, _) = assemble_requests(trace, &FieldTokenizer::new(), MAX_TOKENS);
     let schedule = Stream::new(requests.len(), crate::util::sub_seed(ctx.seed, 42)).schedule;
@@ -129,6 +123,7 @@ pub fn replay(ctx: &mut Ctx, trace: &Trace, clf: &FmClassifier) -> Result<(), St
     let s0 = cluster.stats();
     let p = pass(&mut cluster, &subs, &expected, &mut ctx.tracer);
     ctx.ops(p.arrived, p.wrong + p.unanswered);
+    ctx.accounting("cluster replay", p.arrived, p.model, p.fallback, p.shed);
     ctx.check(
         p.model as f64 >= 0.99 * p.arrived as f64,
         "replayed cluster keeps model availability >= 0.99",
@@ -137,10 +132,9 @@ pub fn replay(ctx: &mut Ctx, trace: &Trace, clf: &FmClassifier) -> Result<(), St
     Ok(())
 }
 
-/// What one pass measured.
+/// What one pass counted.
 #[derive(Debug, Default)]
 struct Pass {
-    latency_us: Vec<f64>,
     arrived: usize,
     model: usize,
     fallback: usize,
@@ -148,7 +142,6 @@ struct Pass {
     wrong: usize,
     /// Arrivals without exactly one answer.
     unanswered: usize,
-    elapsed_s: f64,
 }
 
 /// Serve every burst once, crashing replica 0 a third of the way through.
@@ -165,16 +158,12 @@ fn pass(
         kind: ReplicaFaultKind::Crash,
     }];
     let mut out = Pass::default();
-    let mut latency_us = Vec::new();
     let phase = tr.enter("phase.cluster_pass", 0);
-    let t0 = Instant::now();
     for (b, sub) in subs.iter().enumerate() {
         let s0 = cluster.stats();
-        let b0 = Instant::now();
         let responses = tr.span("ClusterSupervisor::serve_trace", 1 + b as u64, || {
             cluster.serve_trace(sub, &tok, &[usize::MAX], &faults)
         });
-        let us = b0.elapsed().as_secs_f64() * 1e6;
         let s1 = cluster.stats();
         let arrived = s1.arrived - s0.arrived;
         let shed = s1.shed - s0.shed;
@@ -185,7 +174,6 @@ fn pass(
         out.arrived += arrived;
         out.shed += shed;
         for r in &responses {
-            latency_us.push(us);
             match r.responder {
                 Responder::Model => {
                     out.model += 1;
@@ -197,112 +185,8 @@ fn pass(
             }
         }
     }
-    out.elapsed_s = t0.elapsed().as_secs_f64();
-    out.latency_us = latency_us;
     tr.exit(phase);
     out
-}
-
-fn set_up(
-    clf_path: &Path,
-    ckpt_dir: &Path,
-    warm: &[Trace],
-) -> Result<(ClusterSupervisor, FmClassifier), String> {
-    let clf = FmClassifier::load(clf_path).map_err(|e| e.to_string())?;
-    let replicas = (0..REPLICAS).map(|_| (clf.clone(), fallback(clf.n_classes))).collect();
-    let mut cluster =
-        ClusterSupervisor::new(replicas, fallback(clf.n_classes), ckpt_dir, cluster_config(&clf))
-            .map_err(|e| e.to_string())?;
-    let tok = FieldTokenizer::new();
-    for sub in warm {
-        cluster.serve_trace(sub, &tok, &[usize::MAX], &[]);
-    }
-    Ok((cluster, clf))
-}
-
-/// Run the workload.
-pub fn run(ctx: &mut Ctx) -> Result<(), String> {
-    let cap = load_capture(&ctx.dir)?;
-    let reference = load_model(&ctx.dir)?;
-    let schedule = Stream::new(cap.requests.len(), ctx.seed).schedule;
-    let (subs, expected) = bursts(ctx, &cap.trace, &cap.requests, &schedule, &reference);
-
-    let mut setups = Vec::new();
-    let mut built = None;
-    for i in 0..ctx.setup_reps() {
-        let ckpt = ctx.dir.join(format!("cluster_{i}"));
-        let t = Instant::now();
-        built = Some(set_up(&ctx.dir.join("model.nfmc"), &ckpt, &subs[..2])?);
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let (mut cluster, clf) = built.expect("at least one set-up");
-
-    let budget = ctx.seconds * if ctx.traced { 0.4 } else { 1.0 };
-    let s0 = cluster.stats();
-    let t = Instant::now();
-    let mut passes = Vec::new();
-    while passes.is_empty() || t.elapsed().as_secs_f64() < budget {
-        let p = pass(&mut cluster, &subs, &expected, &mut ctx.tracer);
-        ctx.ops(p.arrived, p.wrong + p.unanswered);
-        passes.push(p);
-    }
-    let worst = passes.iter().map(|p| p.model as f64 / p.arrived as f64).fold(1.0, f64::min);
-    ctx.check(
-        worst >= 0.99,
-        &format!("model availability >= 0.99 in every pass (worst {worst:.4})"),
-    );
-    let s1 = cluster.stats();
-    let sum = |f: fn(&Pass) -> usize| passes.iter().map(f).sum::<usize>();
-    let (arrived, model, fb, shed) =
-        (sum(|p| p.arrived), sum(|p| p.model), sum(|p| p.fallback), sum(|p| p.shed));
-    let elapsed: f64 = passes.iter().map(|p| p.elapsed_s).sum();
-    ctx.accounting("cluster passes", arrived, model, fb, shed);
-    if !ctx.traced {
-        let lat: Vec<f64> = passes.iter().flat_map(|p| p.latency_us.iter().copied()).collect();
-        ctx.setup(&setups, "model load, cluster construction with checkpoint writes, warm-up");
-        let what = "per arrival, burst submission to serve_trace return";
-        ctx.latency(&lat, WINDOW, what);
-        let rates: Vec<f64> = passes.iter().map(|p| p.model as f64 / p.elapsed_s).collect();
-        ctx.throughput(
-            &rates,
-            &format!("model answers/s per pass, {model} answers in {elapsed:.2} s"),
-        );
-        ctx.report.put(
-            "model_answer_ratio",
-            model as f64 / arrived as f64,
-            format!("{model} model answers / {arrived} arrivals"),
-        );
-        return Ok(());
-    }
-
-    cluster_rows(ctx, &s0, &s1, "this run's passes");
-    let batches: Vec<Vec<usize>> = {
-        let mut out = Vec::new();
-        let mut j = 0usize;
-        for &n in &schedule {
-            for r in 0..REPLICAS.min(n) {
-                out.push((j + r..j + n).step_by(REPLICAS).collect());
-            }
-            j += n;
-        }
-        out
-    };
-    let all_expected = ledger::reference_classes(&clf, &cap.requests);
-    let input = Input {
-        trace: &cap.trace,
-        requests: &cap.requests,
-        clf: &clf,
-        batches: &batches,
-        pooled_only: false,
-    };
-    let enc_us = ledger::common(ctx, &input);
-    ledger::checkpoint(ctx, &clf)?;
-    ledger::serve_replay(ctx, &input, &all_expected, enc_us);
-    ledger::fanout_replay(ctx, &input, enc_us);
-    ledger::train_replay(ctx, &input, &all_expected)?;
-    let overhead = ledger::overhead(|tr| pass(&mut cluster, &subs, &expected, tr).elapsed_s);
-    ctx.report.put("trace.overhead_ratio", overhead, "traced / untraced time of one pass");
-    Ok(())
 }
 
 /// The cluster layer's counts between two snapshots.

@@ -1,23 +1,19 @@
-//! `fanout-burst`: a K = 4 [`MultiTaskServer`] over a corrupted capture,
-//! fed closed-loop bursts with a seeded task subset per request. The timed
-//! region includes assembling the capture into requests.
+//! The fan-out layer's replay: a K = 4 [`MultiTaskServer`] over heads of
+//! the workload's served model, fed the workload's requests in closed-loop
+//! bursts with a seeded task subset per request, and checked bitwise
+//! against K standalone engines fed the same stream.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use nfm_core::pipeline::{FmBackbone, FoundationModel, Pooling, TaskHead};
+use nfm_core::pipeline::TaskHead;
 use nfm_core::serve::{
-    assemble_requests, MultiTaskServer, Responder, Response, ServeConfig, ServeEngine,
-    ServeRequest, TaskSet,
+    MultiTaskServer, Responder, Response, ServeConfig, ServeEngine, ServeRequest, TaskSet,
 };
-use nfm_model::tokenize::field::FieldTokenizer;
-use nfm_net::capture::Trace;
 use nfm_traffic::faults::{burst_schedule, task_mask_schedule, FaultConfig};
 
-use crate::ledger::{self, Input};
+use crate::ledger::Input;
 use crate::prep::{MAX_TOKENS, N_TASKS};
-use crate::serving::{fallback, load_capture, MAX_BATCH};
-use crate::trace::Tracer;
+use crate::serving::{fallback, MAX_BATCH};
 use crate::util::{ns_since, rss_mb, sub_seed};
 use crate::Ctx;
 
@@ -25,12 +21,9 @@ use crate::Ctx;
 /// non-empty subset (~2.6 tasks per request on average).
 const FULL_CHANCE: f64 = 0.6;
 
-/// Answers per latency window.
-const WINDOW: usize = 200;
-
 /// Lane configuration: a queue shallower than the largest burst, so burst
 /// shedding exercises admission control.
-pub fn fanout_config() -> ServeConfig {
+fn fanout_config() -> ServeConfig {
     ServeConfig {
         queue_capacity: 16,
         shed_watermark: 12,
@@ -64,104 +57,12 @@ impl Stream {
     }
 }
 
-/// What one pass over the stream measured.
-#[derive(Debug, Default)]
-pub struct Pass {
-    /// Per answer: burst start to the return of the drain that answered it.
-    pub latency_us: Vec<f64>,
-    /// (request, task) pairs offered to the lanes.
-    pub offered: usize,
-    /// Answers by the model.
-    pub model: usize,
-    /// Answers by the fallback.
-    pub fallback: usize,
-    /// Model answers whose class differs from the reference.
-    pub wrong: usize,
-    /// Summed `drain` time, ns.
-    pub drain_ns: u64,
-    /// Wall time of the pass, s.
-    pub elapsed_s: f64,
-    /// Request positions of each burst (the encoder replay's batches),
-    /// kept when asked for.
-    pub bursts: Vec<Vec<usize>>,
-    /// Per-task responses, kept when asked for.
-    pub responses: Vec<Vec<Response>>,
-}
-
 /// Tag requests with their task subsets.
 pub fn with_masks(mut requests: Vec<ServeRequest>, masks: &[u64]) -> Vec<ServeRequest> {
     for (r, &m) in requests.iter_mut().zip(masks) {
         r.tasks = TaskSet::from_mask(m);
     }
     requests
-}
-
-/// Reference class per task and request position: `expected[k][flow]`.
-pub type Expected = Vec<HashMap<usize, usize>>;
-
-/// One pass: assemble `trace` (timed), then offer bursts and drain after
-/// each. `expected` checks every model answer.
-pub fn pass(
-    server: &mut MultiTaskServer,
-    trace: &Trace,
-    stream: &Stream,
-    expected: &Expected,
-    tr: &mut Tracer,
-    keep: bool,
-) -> Pass {
-    let mut out = Pass::default();
-    if keep {
-        out.responses = vec![Vec::new(); server.n_tasks()];
-    }
-    let tok = FieldTokenizer::new();
-    let phase = tr.enter("phase.fanout_pass", 0);
-    let t0 = Instant::now();
-    let (requests, _) =
-        tr.span("assemble_requests", 0, || assemble_requests(trace, &tok, MAX_TOKENS));
-    let requests = with_masks(requests, &stream.masks);
-    let mut pending = requests.into_iter().enumerate();
-    let mut latency_us = Vec::new();
-    for &burst in &stream.schedule {
-        let b0 = ns_since(t0);
-        let mut ids = Vec::with_capacity(burst);
-        for (i, r) in pending.by_ref().take(burst) {
-            out.offered += r.tasks.count(server.n_tasks());
-            ids.push(i);
-            let sid = tr.enter("MultiTaskServer::submit", 1 + i as u64);
-            server.submit(r);
-            tr.exit(sid);
-        }
-        let d0 = ns_since(t0);
-        let did = tr.enter("MultiTaskServer::drain", 1 + ids.first().copied().unwrap_or(0) as u64);
-        let drained = server.drain();
-        tr.exit(did);
-        let d1 = ns_since(t0);
-        out.drain_ns += d1 - d0;
-        for (k, responses) in drained.into_iter().enumerate() {
-            for r in &responses {
-                latency_us.push((d1 - b0) as f64 / 1e3);
-                match r.responder {
-                    Responder::Model => {
-                        out.model += 1;
-                        if expected[k].get(&r.flow) != Some(&r.class) {
-                            out.wrong += 1;
-                        }
-                    }
-                    Responder::Fallback => out.fallback += 1,
-                }
-            }
-            if keep {
-                out.responses[k].extend(responses);
-            }
-        }
-        if keep {
-            out.bursts.push(ids);
-        }
-    }
-    out.elapsed_s = t0.elapsed().as_secs_f64();
-    out.latency_us = latency_us;
-    tr.exit(phase);
-    out
 }
 
 /// A standalone engine fed task `k`'s share of the same stream on the same
@@ -185,146 +86,67 @@ fn standalone(
     out
 }
 
-/// The server, its backbone and heads.
-type Built = (MultiTaskServer, FmBackbone, Vec<TaskHead>);
-
-/// Build a server from the prepared files and warm it on the first burst
-/// of the stream's requests. Also returns the RSS growth across
-/// `MultiTaskServer::new`, MiB.
-fn set_up(dir: &std::path::Path, warm: &[ServeRequest]) -> Result<(Built, f64), String> {
-    let fm = FoundationModel::load(&dir.join("backbone.nfm")).map_err(|e| e.to_string())?;
-    let backbone = FmBackbone::from_model(&fm, Pooling::Mean);
-    let heads = (0..N_TASKS)
-        .map(|k| TaskHead::load(&dir.join(format!("head_{k}.nfmh"))).map_err(|e| e.to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
+/// Serve the workload's requests once through a K = 4 fan-out server and
+/// report the fan-out layer's rows. `enc_us` is the encoder's µs per
+/// request, which the settle row subtracts.
+pub fn replay(ctx: &mut Ctx, inp: &Input, enc_us: f64) {
+    let heads: Vec<TaskHead> =
+        (0..N_TASKS).map(|k| TaskHead::from_classifier(inp.clf, &format!("task-{k}"))).collect();
     let tasks = heads.iter().map(|h| (h.clone(), fallback(h.n_classes))).collect();
     let rss0 = rss_mb();
-    let mut server = MultiTaskServer::new(backbone.clone(), tasks, fanout_config());
-    let rss = rss_mb() - rss0;
-    for r in warm {
-        server.submit(r.clone());
-    }
-    server.drain();
-    Ok(((server, backbone, heads), rss))
-}
-
-/// Run the workload.
-pub fn run(ctx: &mut Ctx) -> Result<(), String> {
-    let cap = load_capture(&ctx.dir)?;
-    let stream = Stream::new(cap.requests.len(), ctx.seed);
-    let requests = with_masks(cap.requests.clone(), &stream.masks);
-    let warm: Vec<ServeRequest> = requests
-        .iter()
-        .take(MAX_BATCH)
-        .map(|r| ServeRequest { tasks: TaskSet::ALL, ..r.clone() })
-        .collect();
-
-    // Set-up: load backbone and heads, construct, warm up.
-    let mut setups = Vec::new();
-    let mut built = None;
-    let mut setup_rss_mb = f64::NAN;
-    for _ in 0..ctx.setup_reps() {
-        let t = Instant::now();
-        let (parts, rss) = set_up(&ctx.dir, &warm)?;
-        setups.push(t.elapsed().as_secs_f64());
-        if setup_rss_mb.is_nan() {
-            setup_rss_mb = rss;
+    let mut server = MultiTaskServer::new(inp.clf.backbone(), tasks, fanout_config());
+    let setup_rss_mb = rss_mb() - rss0;
+    let stream = Stream::new(inp.requests.len(), sub_seed(ctx.seed, 41));
+    let requests = with_masks(inp.requests.to_vec(), &stream.masks);
+    let t = &mut ctx.tracer;
+    let (mut drain_ns, mut answers) = (0u64, 0usize);
+    let mut responses = vec![Vec::new(); N_TASKS];
+    let mut pending = requests.iter().cloned();
+    for &burst in &stream.schedule {
+        for r in pending.by_ref().take(burst) {
+            t.span("MultiTaskServer::submit", 0, || server.submit(r));
         }
-        built = Some(parts);
-    }
-    let (mut server, backbone, heads) = built.expect("at least one set-up");
-
-    // Reference classes from each task's single-request path.
-    let mut expected: Expected = vec![HashMap::new(); N_TASKS];
-    for (k, head) in heads.iter().enumerate() {
-        let clf = backbone.attach(head);
-        for r in requests.iter().filter(|r| r.tasks.contains(k)) {
-            expected[k].insert(r.flow, clf.predict(&r.tokens));
+        let t0 = Instant::now();
+        let out = t.span("MultiTaskServer::drain", 0, || server.drain());
+        drain_ns += ns_since(t0);
+        for (k, rs) in out.into_iter().enumerate() {
+            answers += rs.len();
+            responses[k].extend(rs);
         }
     }
 
-    // Gate: one untimed pass must equal K standalone engines bitwise.
-    let gate = pass(&mut server, &cap.trace, &stream, &expected, &mut Tracer::new(false), true);
-    ctx.ops(gate.model + gate.fallback, gate.wrong);
+    let offered: usize = requests.iter().map(|r| r.tasks.count(N_TASKS)).sum();
+    let model = responses.iter().flatten().filter(|r| r.responder == Responder::Model).count();
+    ctx.accounting("fan-out replay", offered, model, answers - model, offered - answers);
+
     let mut identical = true;
+    let backbone = inp.clf.backbone();
     for (k, head) in heads.iter().enumerate() {
         let mut solo =
             ServeEngine::new(backbone.attach(head), fallback(head.n_classes), fanout_config());
-        for r in &warm {
-            solo.submit(r.clone());
-        }
-        solo.drain_queue();
         let solo_rs = standalone(&mut solo, k, &requests, &stream.schedule);
-        identical &= solo_rs == gate.responses[k] && solo.stats() == server.task_stats()[k];
+        identical &= solo_rs == responses[k] && solo.stats() == server.task_stats()[k];
     }
     ctx.check(identical, "fan-out answers and stats equal K standalone engines bitwise");
 
-    let budget = ctx.seconds * if ctx.traced { 0.4 } else { 1.0 };
-    let before = server.stats();
-    let t = Instant::now();
-    let mut passes = Vec::new();
-    while passes.is_empty() || t.elapsed().as_secs_f64() < budget {
-        let p = pass(&mut server, &cap.trace, &stream, &expected, &mut ctx.tracer, false);
-        ctx.ops(p.model + p.fallback, p.wrong);
-        passes.push(p);
-    }
-    let model: usize = passes.iter().map(|p| p.model).sum();
-    let fallback_n: usize = passes.iter().map(|p| p.fallback).sum();
-    let offered: usize = passes.iter().map(|p| p.offered).sum();
-    let elapsed: f64 = passes.iter().map(|p| p.elapsed_s).sum();
-    ctx.accounting("fanout passes", offered, model, fallback_n, offered - model - fallback_n);
-    if !ctx.traced {
-        let lat: Vec<f64> = passes.iter().flat_map(|p| p.latency_us.iter().copied()).collect();
-        ctx.setup(&setups, "backbone and head load, server construction, warm-up");
-        ctx.latency(&lat, WINDOW, "per answer, burst start to drain return");
-        let rates: Vec<f64> = passes.iter().map(|p| p.model as f64 / p.elapsed_s).collect();
-        ctx.throughput(
-            &rates,
-            &format!("model answers/s per pass, {model} answers in {elapsed:.2} s"),
-        );
-        ctx.report.put(
-            "model_answer_ratio",
-            model as f64 / offered as f64,
-            format!("{model} model answers / {offered} offered (task, request) pairs"),
-        );
-        return Ok(());
-    }
-
-    // Traced: the fan-out layer from this run's own passes, the rest from
-    // the shared ledger at this run's batch composition.
-    let clf = backbone.attach(&heads[0]);
-    let batches: Vec<Vec<usize>> = gate
-        .bursts
-        .iter()
-        .flat_map(|b| b.chunks(MAX_BATCH).map(<[usize]>::to_vec).collect::<Vec<_>>())
-        .collect();
-    let input = Input {
-        trace: &cap.trace,
-        requests: &cap.requests,
-        clf: &clf,
-        batches: &batches,
-        pooled_only: true,
-    };
-    let enc_us = ledger::common(ctx, &input);
-    let after = server.stats();
-    let f = ledger::Fanout {
-        encoder_rows_per_answer: after.encoder_rows as f64 / after.head_rows.max(1) as f64,
-        drain_us: passes.iter().map(|p| p.drain_ns).sum::<u64>() as f64 / 1e3,
-        encoder_rows: (after.encoder_rows - before.encoder_rows) as f64,
-        answers: (model + fallback_n) as f64,
+    let s = server.stats();
+    let rep = &mut ctx.report;
+    let source = "replay, K=4 heads of the served model";
+    rep.put(
+        "fanout.encoder_rows_per_answer",
+        s.encoder_rows as f64 / s.head_rows.max(1) as f64,
+        format!("{source}; MultiTaskStats"),
+    );
+    rep.put(
+        "fanout.settle_us_per_answer",
+        (drain_ns as f64 / 1e3 - s.encoder_rows as f64 * enc_us) / answers.max(1) as f64,
+        format!("{source}; drain time minus encoder rows x encoder.us_per_req, per answer"),
+    );
+    rep.put(
+        "fanout.setup_rss_mb",
         setup_rss_mb,
-    };
-    ledger::fanout_rows(ctx, &f, enc_us, "this run's passes");
-    ledger::checkpoint(ctx, &clf)?;
-    let all_expected = ledger::reference_classes(&clf, &cap.requests);
-    ledger::serve_replay(ctx, &input, &all_expected, enc_us);
-    ledger::train_replay(ctx, &input, &all_expected)?;
-    crate::cluster::replay(ctx, &cap.trace, &clf)?;
-    let overhead = ledger::overhead(|tr| {
-        pass(&mut server, &cap.trace, &stream, &expected, tr, false).elapsed_s
-    });
-    ctx.report.put("trace.overhead_ratio", overhead, "traced / untraced time of one pass");
-    Ok(())
+        format!("{source}; RSS growth across MultiTaskServer::new"),
+    );
 }
 
 #[cfg(test)]

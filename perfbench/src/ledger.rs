@@ -1,14 +1,15 @@
 //! The per-layer ledger of a traced run. Each layer is timed from outside
 //! by replaying its public functions on the workload's own inputs: the
 //! capture, its requests, their batch composition and the served model.
-//! A layer the workload does not run itself (the fan-out server on
-//! `serve-open`, training on the serving workloads, ...) is replayed on the
-//! same inputs, so every workload reports every layer.
+//! A layer the workload does not run itself (the fan-out server and the
+//! cluster on both workloads, training on `serve-open`, the open-loop
+//! engine on `train`) is replayed on the same inputs, so every workload
+//! reports every layer.
 
 use std::time::Instant;
 
 use nfm_core::pipeline::{FmClassifier, FoundationModel, TaskHead, TextExample};
-use nfm_core::serve::{assemble_requests, MultiTaskServer, ServeEngine, ServeRequest};
+use nfm_core::serve::{assemble_requests, ServeEngine, ServeRequest};
 use nfm_model::nn::attention::MultiHeadAttention;
 use nfm_model::nn::heads::ClsHead;
 use nfm_model::pretrain::encode_context;
@@ -21,10 +22,10 @@ use nfm_tensor::scratch::ScratchArena;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::prep::{MAX_TOKENS, N_TASKS};
+use crate::prep::MAX_TOKENS;
 use crate::serving::{fallback, open_loop, serve_config, OpenLoop};
 use crate::trace::Tracer;
-use crate::util::{median, ns_since, poisson_arrivals, rss_mb, sub_seed, Summary};
+use crate::util::{median, ns_since, poisson_arrivals, sub_seed, Summary};
 use crate::Ctx;
 
 /// Minimum wall time each replay repeats for before taking its median.
@@ -47,9 +48,6 @@ pub struct Input<'a> {
     pub clf: &'a FmClassifier,
     /// Batch composition: request positions per packed forward.
     pub batches: &'a [Vec<usize>],
-    /// The workload runs the encoder through `FmBackbone::pooled_batch_within`
-    /// (no head) rather than `FmClassifier::logits_batch_within`.
-    pub pooled_only: bool,
 }
 
 /// Read an observability counter.
@@ -151,12 +149,7 @@ pub fn common(ctx: &mut Ctx, inp: &Input) -> f64 {
         let t0 = Instant::now();
         for (b, batch) in inp.batches.iter().enumerate() {
             let toks = tokens_of(inp.requests, batch);
-            if inp.pooled_only {
-                let id = tr.enter("FmBackbone::pooled_batch_within", b as u64);
-                let pb = backbone.pooled_batch_within(&toks, u64::MAX, &mut arena);
-                arena.put(std::hint::black_box(pb).pooled);
-                tr.exit(id);
-            } else if let [one] = toks[..] {
+            if let [one] = toks[..] {
                 // The engine serves a batch of one through the single-request path.
                 let _ = tr.span("FmClassifier::logits_within", b as u64, || {
                     std::hint::black_box(inp.clf.logits_within(one, u64::MAX))
@@ -175,21 +168,14 @@ pub fn common(ctx: &mut Ctx, inp: &Input) -> f64 {
         .batches
         .iter()
         .flatten()
-        .map(|&i| {
-            let n = inp.requests[i].tokens.len();
-            let cost =
-                if inp.pooled_only { backbone.encoder_cost(n) } else { inp.clf.inference_cost(n) };
-            cost as f64
-        })
+        .map(|&i| inp.clf.inference_cost(inp.requests[i].tokens.len()) as f64)
         .sum::<f64>()
         / n_req as f64;
-    let call =
-        if inp.pooled_only { "pooled_batch_within" } else { "logits_within / logits_batch_within" };
     rep.put(
         "encoder.us_per_req",
         enc_us,
         format!(
-            "{call}, median of {reps} replays of {} batches / {n_req} requests",
+            "logits_within / logits_batch_within, median of {reps} replays of {} batches / {n_req} requests",
             inp.batches.len()
         ),
     );
@@ -256,7 +242,7 @@ pub fn common(ctx: &mut Ctx, inp: &Input) -> f64 {
 /// Time every stage of the packed encoder forward on modules shaped like
 /// the served model, over the workload's batches. µs per request for embed,
 /// attention, layernorm (with residual adds), ffn, gelu and head (pooling
-/// plus, when the workload's encoder call includes it, the class head).
+/// plus the class head).
 fn stage_ledger(inp: &Input, tr: &mut Tracer) -> [f64; 6] {
     let cfg = inp.clf.encoder.config;
     let d = cfg.d_model;
@@ -367,9 +353,7 @@ fn stage_ledger(inp: &Input, tr: &mut Tracer) -> [f64; 6] {
                     let inv = 1.0 / (bounds[j + 1] - bounds[j]) as f32;
                     prow.iter_mut().for_each(|o| *o *= inv);
                 }
-                if !inp.pooled_only {
-                    std::hint::black_box(head.forward_inference(&pooled));
-                }
+                std::hint::black_box(head.forward_inference(&pooled));
                 arena.put(pooled);
             });
             arena.put(h);
@@ -508,13 +492,26 @@ pub fn serve_rows(ctx: &mut Ctx, ol: &OpenLoop, enc_us: f64, source: &str) {
     rep.put(
         "serve.queue_wait_p50_us",
         qw.p50,
-        format!("{source}; due to drain start; {}", qw.describe()),
+        format!("{source}; due to submit; {}", qw.describe()),
     );
     rep.put("serve.queue_wait_p99_us", qw.p99, format!("{source}; n {}", qw.n));
+    let (forwards, packed) = ol.packed;
     rep.put(
         "serve.batch_size_mean",
-        answered / ol.batches.len().max(1) as f64,
-        format!("{source}; requests per drain over {} drains", ol.batches.len()),
+        packed as f64 / forwards.max(1) as f64,
+        format!(
+            "{source}; serve.batch.requests / serve.batch.count: {packed} requests in \
+             {forwards} packed forwards (micro-batches of one are not packed)"
+        ),
+    );
+    let (par_map, par_chunks) = ol.pool_calls;
+    rep.put(
+        "pool.calls_per_req",
+        (par_map + par_chunks) as f64 / ol.sent.max(1) as f64,
+        format!(
+            "{source}; ({par_map} pool.par_map + {par_chunks} par_chunks calls) / {} sent",
+            ol.sent
+        ),
     );
     let sent = ol.sent.max(1) as f64;
     rep.put(
@@ -545,77 +542,6 @@ pub fn serve_replay(ctx: &mut Ctx, inp: &Input, expected: &[usize], enc_us: f64)
     let ol = open_loop(&mut engine, inp.requests, expected, &due, &mut ctx.tracer, 1 << 40);
     ctx.ops(ol.model, ol.wrong);
     serve_rows(ctx, &ol, enc_us, "replay at 1000 req/s");
-}
-
-/// Fan-out facts a workload's own passes (or the replay) supply.
-pub struct Fanout {
-    /// Encoder rows per model answer (`MultiTaskStats`).
-    pub encoder_rows_per_answer: f64,
-    /// Summed drain time, µs.
-    pub drain_us: f64,
-    /// Encoder rows those drains ran.
-    pub encoder_rows: f64,
-    /// Answers those drains produced.
-    pub answers: f64,
-    /// RSS growth across `MultiTaskServer::new`, MiB.
-    pub setup_rss_mb: f64,
-}
-
-/// The fan-out layer's rows.
-pub fn fanout_rows(ctx: &mut Ctx, f: &Fanout, enc_us: f64, source: &str) {
-    let rep = &mut ctx.report;
-    rep.put(
-        "fanout.encoder_rows_per_answer",
-        f.encoder_rows_per_answer,
-        format!("{source}; MultiTaskStats"),
-    );
-    rep.put(
-        "fanout.settle_us_per_answer",
-        (f.drain_us - f.encoder_rows * enc_us) / f.answers.max(1.0),
-        format!("{source}; drain time minus encoder rows x encoder.us_per_req, per answer"),
-    );
-    rep.put(
-        "fanout.setup_rss_mb",
-        f.setup_rss_mb,
-        format!("{source}; RSS growth across MultiTaskServer::new"),
-    );
-}
-
-/// A K = 4 fan-out server over the served classifier's head, fed the
-/// workload's requests as one fan-out pass.
-pub fn fanout_replay(ctx: &mut Ctx, inp: &Input, enc_us: f64) {
-    let backbone = inp.clf.backbone();
-    let tasks = (0..N_TASKS)
-        .map(|k| {
-            (TaskHead::from_classifier(inp.clf, &format!("task-{k}")), fallback(inp.clf.n_classes))
-        })
-        .collect();
-    let rss0 = rss_mb();
-    let mut server = MultiTaskServer::new(backbone, tasks, crate::fanout::fanout_config());
-    let setup_rss_mb = rss_mb() - rss0;
-    let stream = crate::fanout::Stream::new(inp.requests.len(), sub_seed(ctx.seed, 41));
-    let requests = crate::fanout::with_masks(inp.requests.to_vec(), &stream.masks);
-    let t = &mut ctx.tracer;
-    let (mut drain_ns, mut answers) = (0u64, 0usize);
-    let mut it = requests.into_iter();
-    for &burst in &stream.schedule {
-        for r in it.by_ref().take(burst) {
-            t.span("MultiTaskServer::submit", 0, || server.submit(r));
-        }
-        let t0 = Instant::now();
-        let out = t.span("MultiTaskServer::drain", 0, || server.drain());
-        drain_ns += ns_since(t0);
-        answers += out.iter().map(Vec::len).sum::<usize>();
-    }
-    let s = server.stats();
-    let f = Fanout {
-        encoder_rows_per_answer: s.encoder_rows as f64 / s.head_rows.max(1) as f64,
-        drain_us: drain_ns as f64 / 1e3,
-        encoder_rows: s.encoder_rows as f64,
-        answers: answers as f64,
-        setup_rss_mb,
-    };
-    fanout_rows(ctx, &f, enc_us, "replay, K=4 heads of the served model");
 }
 
 /// Training facts: step times and pool dispatches per epoch.

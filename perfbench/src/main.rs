@@ -9,20 +9,22 @@
 //!
 //! Workloads (`BENCHMARK.json` says why each was chosen):
 //!
-//! | workload        | drives                                            | arrivals |
-//! |-----------------|---------------------------------------------------|----------|
-//! | `serve-open`    | one `ServeEngine`, pre-assembled requests         | open loop, Poisson 1000/s; then a full micro-batch always queued |
-//! | `cluster-crash` | 3-replica `ClusterSupervisor`, replica 0 crashes  | closed-loop bursts (runs on request; not in `BENCHMARK.json`) |
-//! | `train`         | one pretraining + one fine-tuning epoch per round | back-to-back rounds |
-//! | `fanout-burst`  | K = 4 `MultiTaskServer`, corrupted capture        | closed-loop bursts (runs on request; not in `BENCHMARK.json`) |
+//! | workload     | drives                                            | arrivals |
+//! |--------------|---------------------------------------------------|----------|
+//! | `serve-open` | one `ServeEngine`, pre-assembled requests         | ten cycles: open loop, Poisson 1000/s; then a full micro-batch always queued |
+//! | `train`      | one pretraining + one fine-tuning epoch per round | back-to-back rounds |
+//!
+//! The fan-out server and the replica cluster have no workload of their
+//! own; the traced run replays them on each workload's inputs
+//! (`fanout::replay`, `cluster::replay`).
 //!
 //! With `--trace 0` it reports the end-to-end metrics: `setup_s` (model
-//! load, construction and warm-up), `peak_rss_mb` (VmHWM of the measuring
-//! process), `p50_us`/`p99_us` (latency of one operation: a request, an
-//! arrival or a training round), `throughput_per_s` (model answers per
-//! second at capacity on `serve-open`, per pass on the cluster, sequences
-//! per second on `train`) and `model_answer_ratio` (model answers over
-//! requests sent; shed and fallback answers count against it). Timings
+//! or corpus load, construction and warm-up), `peak_rss_mb` (VmHWM of the
+//! measuring process), `p50_us`/`p99_us` (latency of one operation: a
+//! request or a training round), `throughput_per_s` (model answers per
+//! second at capacity on `serve-open`, sequences per second on `train`)
+//! and `model_answer_ratio` (model answers over requests sent; shed and
+//! fallback answers count against it). Timings
 //! are taken over many short windows and reported over the fastest twentieth
 //! of them (`util::fast_windows` says why). With `--trace 1` it records
 //! spans around every call into the library, writes them to
@@ -56,8 +58,14 @@ use report::{Report, END_TO_END, PER_LAYER};
 use trace::Tracer;
 use util::Summary;
 
-/// Set-ups per untraced run; `setup_s` is the mean of their fastest twentieth.
-const SETUP_REPS: usize = 21;
+/// Set-up blocks an untraced run times before its measured region; the
+/// workloads time more between their measurement windows.
+const SETUP_BLOCKS: usize = 20;
+
+/// Minimum wall time of one set-up block, s: a block repeats the set-up
+/// until this much time has passed, so a millisecond-scale set-up is timed
+/// over many repetitions.
+const SETUP_BLOCK_S: f64 = 0.02;
 
 /// Where inputs and traces live, relative to the checkout root.
 const WORK_DIR: &str = ".bench_work";
@@ -67,25 +75,18 @@ const WORK_DIR: &str = ".bench_work";
 pub enum Workload {
     /// Open-loop single-engine serving.
     ServeOpen,
-    /// Multi-task fan-out under bursts.
-    FanoutBurst,
-    /// Replica cluster through a crash.
-    ClusterCrash,
     /// Pretraining and fine-tuning epochs.
     Train,
 }
 
 impl Workload {
     /// Every workload the command runs.
-    pub const ALL: [Workload; 4] =
-        [Workload::ServeOpen, Workload::FanoutBurst, Workload::ClusterCrash, Workload::Train];
+    pub const ALL: [Workload; 2] = [Workload::ServeOpen, Workload::Train];
 
     /// The command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::ServeOpen => "serve-open",
-            Workload::FanoutBurst => "fanout-burst",
-            Workload::ClusterCrash => "cluster-crash",
             Workload::Train => "train",
         }
     }
@@ -115,16 +116,41 @@ pub struct Ctx {
     pub attempted: u64,
     /// Operations and checks that failed.
     pub failed: u64,
+    /// Mean time of one set-up in each set-up block so far, s.
+    pub setup_blocks: Vec<f64>,
 }
 
 impl Ctx {
-    /// Set-ups per run.
-    pub fn setup_reps(&self) -> usize {
-        if self.traced {
-            1
-        } else {
-            SETUP_REPS
+    /// Time the workload's set-up in [`SETUP_BLOCKS`] blocks (a traced run
+    /// sets up once) and return the last set-up's result.
+    pub fn set_ups<T>(
+        &mut self,
+        set_up: &mut impl FnMut() -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut last = self.setup_block(set_up)?;
+        for _ in 1..if self.traced { 1 } else { SETUP_BLOCKS } {
+            last = self.setup_block(set_up)?;
         }
+        Ok(last)
+    }
+
+    /// One set-up block: repeat `set_up` until [`SETUP_BLOCK_S`] has passed
+    /// (once in a traced run) and record the mean time of one set-up. The
+    /// workloads call this between measurement windows too, so `setup_s`
+    /// samples the whole run rather than the second before it.
+    pub fn setup_block<T>(
+        &mut self,
+        set_up: &mut impl FnMut() -> Result<T, String>,
+    ) -> Result<T, String> {
+        let t = Instant::now();
+        let mut n = 0u32;
+        let mut last = None;
+        while n == 0 || (!self.traced && t.elapsed().as_secs_f64() < SETUP_BLOCK_S) {
+            last = Some(set_up()?);
+            n += 1;
+        }
+        self.setup_blocks.push(t.elapsed().as_secs_f64() / f64::from(n));
+        Ok(last.expect("at least one set-up"))
     }
 
     /// Record a correctness check.
@@ -163,14 +189,17 @@ impl Ctx {
         }
     }
 
-    /// Report `setup_s`: the mean of the fastest twentieth of the set-ups.
-    pub fn setup(&mut self, samples: &[f64], what: &str) {
+    /// Report `setup_s`: the mean of the fastest twentieth of the set-up
+    /// blocks.
+    pub fn setup(&mut self, what: &str) {
+        let blocks = &self.setup_blocks;
         let detail = format!(
-            "{what}; mean of the fastest twentieth of {} set-ups, median {:.6}",
-            samples.len(),
-            util::median(samples)
+            "{what}; mean of the fastest twentieth of {} blocks of >= {SETUP_BLOCK_S} s spread \
+             through the run, median {:.6}",
+            blocks.len(),
+            util::median(blocks)
         );
-        self.report.put("setup_s", util::fast_mean(samples, true), detail);
+        self.report.put("setup_s", util::fast_mean(blocks, true), detail);
     }
 
     /// Report operation latency, in time order, over windows of `w`
@@ -309,11 +338,10 @@ fn run(args: &Args) -> Result<i32, String> {
         tracer: Tracer::new(args.trace),
         attempted: 0,
         failed: 0,
+        setup_blocks: Vec::new(),
     };
     match w {
         Workload::ServeOpen => serve_open::run(&mut ctx)?,
-        Workload::FanoutBurst => fanout::run(&mut ctx)?,
-        Workload::ClusterCrash => cluster::run(&mut ctx)?,
         Workload::Train => train::run(&mut ctx)?,
     }
     if args.trace {

@@ -6,15 +6,12 @@
 use std::path::Path;
 
 use nfm_core::netglue::Task;
-use nfm_core::pipeline::{
-    FineTuneConfig, FmBackbone, FmClassifier, FoundationModel, PipelineConfig, Pooling, TaskHead,
-};
+use nfm_core::pipeline::{FineTuneConfig, FmClassifier, FoundationModel, PipelineConfig, Pooling};
 use nfm_model::context::{contexts_from_trace, ContextStrategy};
 use nfm_model::pretrain::{PretrainConfig, TaskMix};
 use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_net::capture::Trace;
 use nfm_traffic::dataset::extract_flows;
-use nfm_traffic::faults::{inject, FaultConfig};
 use nfm_traffic::netsim::{simulate, SimConfig};
 
 use crate::util::sub_seed;
@@ -33,7 +30,6 @@ pub const N_TASKS: usize = 4;
 fn capture_sessions(w: Workload) -> usize {
     match w {
         Workload::ServeOpen => 1000,
-        Workload::FanoutBurst | Workload::ClusterCrash => 400,
         Workload::Train => 200,
     }
 }
@@ -124,8 +120,7 @@ pub fn prepare(workload: Workload, seed: u64, out: &Path) -> Result<(), String> 
     let cfg = pipeline_config(sub_seed(seed, 1));
 
     // The model: pretrained on its own small capture, then fine-tuned for
-    // app classification (single-task workloads) or head-only for all four
-    // NetGLUE tasks over a frozen backbone (fan-out).
+    // app classification.
     let model_lt = simulate(&sim(sub_seed(seed, 2), 80));
     let (fm, _) = FoundationModel::pretrain_on(&[&model_lt.trace], &tok, &cfg)
         .map_err(|e| format!("pretraining: {e}"))?;
@@ -138,39 +133,13 @@ pub fn prepare(workload: Workload, seed: u64, out: &Path) -> Result<(), String> 
     };
     let app = Task::AppClassification;
     let examples = app.examples(&flows, &tok, MAX_TOKENS);
-    if workload == Workload::FanoutBurst {
-        let backbone = FmBackbone::from_model(&fm, Pooling::Mean);
-        fm.save(&out.join("backbone.nfm")).map_err(|e| format!("save backbone: {e}"))?;
-        for (k, task) in Task::ALL.iter().enumerate() {
-            let ex = task.examples(&flows, &tok, MAX_TOKENS);
-            let head = TaskHead::fine_tune(&backbone, task.name(), &ex, task.n_classes(), &ft)
-                .map_err(|e| format!("head {}: {e}", task.name()))?;
-            head.save(&out.join(format!("head_{k}.nfmh"))).map_err(|e| format!("save: {e}"))?;
-            if k == 0 {
-                backbone.attach(&head).save(&out.join("model.nfmc")).map_err(|e| e.to_string())?;
-            }
-        }
-    } else {
-        let clf = FmClassifier::fine_tune(&fm, &examples, app.n_classes(), &ft)
-            .map_err(|e| format!("fine-tuning: {e}"))?;
-        clf.save(&out.join("model.nfmc")).map_err(|e| format!("save model: {e}"))?;
-    }
+    let clf = FmClassifier::fine_tune(&fm, &examples, app.n_classes(), &ft)
+        .map_err(|e| format!("fine-tuning: {e}"))?;
+    clf.save(&out.join("model.nfmc")).map_err(|e| format!("save model: {e}"))?;
 
     // The capture the workload serves (or, for `train`, learns from).
     let lt = simulate(&sim(sub_seed(seed, 4), capture_sessions(workload)));
-    let trace = match workload {
-        Workload::FanoutBurst | Workload::ClusterCrash => {
-            let faults = FaultConfig {
-                corrupt_chance: 0.3,
-                snaplen: 200,
-                seed: sub_seed(seed, 5),
-                ..FaultConfig::default()
-            };
-            inject(&lt.trace, &faults).0
-        }
-        _ => lt.trace.clone(),
-    };
-    write_pcap(&out.join("capture.pcap"), &trace)?;
+    write_pcap(&out.join("capture.pcap"), &lt.trace)?;
 
     if workload == Workload::Train {
         let contexts = contexts_from_trace(&lt.trace, &tok, ContextStrategy::Flow, MAX_LEN - 2);

@@ -34,6 +34,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("tensor.arena.reuse_ratio", "ratio"),
     ("pool.dispatch_us", "us"),
     ("pool.calls_per_epoch", "count"),
+    ("pool.calls_per_req", "count"),
     ("head.us_per_row", "us"),
     ("serve.submit_us", "us"),
     ("serve.settle_us_per_req", "us"),

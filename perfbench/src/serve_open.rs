@@ -1,13 +1,17 @@
 //! `serve-open`: one task on one [`ServeEngine`], serving requests
-//! pre-assembled from a clean capture: open-loop Poisson arrivals at a
-//! reference rate, then a closed loop at capacity.
+//! pre-assembled from a clean capture, in cycles of open-loop Poisson
+//! arrivals at a reference rate followed by a closed loop at capacity.
 
+use std::path::Path;
 use std::time::Instant;
 
 use nfm_core::serve::{Responder, ServeEngine, ServeRequest};
 
 use crate::ledger::{self, Input, REF_RATE};
-use crate::serving::{fallback, load_capture, load_model, open_loop, serve_config, MAX_BATCH};
+use crate::serving::{
+    fallback, load_capture, load_model, open_loop, positions, serve_config, serve_counters,
+    OpenLoop, MAX_BATCH,
+};
 use crate::trace::Tracer;
 use crate::util::{poisson_arrivals, sub_seed, Summary};
 use crate::Ctx;
@@ -15,11 +19,18 @@ use crate::Ctx;
 /// Requests per latency window of the reference phase.
 const WINDOW: usize = 200;
 /// Wall time of one throughput window of the saturation phase, s.
-const RATE_WINDOW_S: f64 = 0.1;
+const RATE_WINDOW_S: f64 = 0.02;
+/// Measured saturation time between two set-up blocks, s.
+const SETUP_EVERY_S: f64 = 0.06;
+/// Reference-rate / capacity cycles of an untraced run. Alternating the
+/// phases (and the set-up blocks run in the capacity phases) through the
+/// whole run samples more of the host's quiet and busy periods than one
+/// phase after the other.
+const CYCLES: usize = 10;
 
 /// Load, construct and warm an engine; returns it with the warm-up answers.
-fn set_up(ctx: &Ctx, warm: &[ServeRequest]) -> Result<(ServeEngine, Vec<usize>), String> {
-    let clf = load_model(&ctx.dir)?;
+fn set_up(dir: &Path, warm: &[ServeRequest]) -> Result<(ServeEngine, Vec<usize>), String> {
+    let clf = load_model(dir)?;
     let mut engine = ServeEngine::new(clf.clone(), fallback(clf.n_classes), serve_config());
     for r in warm {
         engine.submit(r.clone());
@@ -35,28 +46,36 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
     let expected = ledger::reference_classes(&reference, &cap.requests);
     let warm = &cap.requests[..cap.requests.len().min(MAX_BATCH)];
 
-    let mut setups = Vec::new();
-    let mut built = None;
-    for _ in 0..ctx.setup_reps() {
-        let t = Instant::now();
-        built = Some(set_up(ctx, warm)?);
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let (mut engine, warm_classes) = built.expect("at least one set-up");
+    let dir = ctx.dir.clone();
+    let mut build = || set_up(&dir, warm);
+    let (mut engine, warm_classes) = ctx.set_ups(&mut build)?;
     ctx.check(
         warm_classes == expected[..warm.len()],
         "warm-up answers equal FmClassifier::predict",
     );
 
-    let ref_share = if ctx.traced { 0.4 } else { 0.7 };
-    let n_ref = (REF_RATE * ctx.seconds * ref_share) as usize;
-    let due = poisson_arrivals(n_ref, REF_RATE, sub_seed(ctx.seed, 10));
-    let ol = open_loop(&mut engine, &cap.requests, &expected, &due, &mut ctx.tracer, 1);
+    let (ref_share, cycles) = if ctx.traced { (0.4, 1) } else { (0.7, CYCLES) };
+    let n_ref = (REF_RATE * ctx.seconds * ref_share / cycles as f64) as usize;
+    let sat_s = ctx.seconds * (1.0 - ref_share) / cycles as f64;
+    let (mut ol, mut sat) = (OpenLoop::default(), Saturation::default());
+    for c in 0..cycles {
+        let due = poisson_arrivals(n_ref, REF_RATE, sub_seed(ctx.seed, 10 + c as u64));
+        let base = 1 + (c * n_ref) as u64;
+        ol.absorb(open_loop(&mut engine, &cap.requests, &expected, &due, &mut ctx.tracer, base));
+        if !ctx.traced {
+            saturate(ctx, &mut engine, &cap.requests, &expected, sat_s, &mut build, &mut sat)?;
+        }
+    }
     ctx.ops(ol.model, ol.wrong);
     ctx.accounting("reference rate", ol.sent, ol.model, ol.fallback, ol.shed);
+    pool_line("reference rate", ol.sent, ol.packed, ol.pool_calls);
 
     if !ctx.traced {
-        ctx.setup(&setups, "model load, engine construction, warm-up");
+        ctx.ops(sat.model, sat.wrong);
+        ctx.accounting("saturation", sat.sent, sat.model, sat.fallback, sat.shed);
+        let d = |k: usize| sat.counters[k];
+        pool_line("saturation", sat.sent, (d(0), d(1)), (d(2), d(3)));
+        ctx.setup("model load, engine construction, warm-up");
         let what = "per request at 1000 req/s, due to drain return";
         ctx.latency(&ol.latency_us, WINDOW, what);
         ctx.report.put(
@@ -68,25 +87,19 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
             "  generator lateness at the reference rate: {}",
             Summary::of(&ol.late_us).describe()
         );
-        let rates =
-            saturate(ctx, &mut engine, &cap.requests, &expected, ctx.seconds * (1.0 - ref_share));
-        ctx.throughput(&rates, "capacity: model answers/s with a full micro-batch always queued");
+        let what = "capacity: model answers/s with a full micro-batch always queued";
+        ctx.throughput(&sat.rates, what);
         return Ok(());
     }
 
     // Traced: the serve layer from this run's own open loop; the rest from
     // the shared ledger at this run's batch composition.
-    let input = Input {
-        trace: &cap.trace,
-        requests: &cap.requests,
-        clf: &reference,
-        batches: &ol.batches,
-        pooled_only: false,
-    };
+    let input =
+        Input { trace: &cap.trace, requests: &cap.requests, clf: &reference, batches: &ol.batches };
     let enc_us = ledger::common(ctx, &input);
     ledger::serve_rows(ctx, &ol, enc_us, "this run at 1000 req/s");
     ledger::checkpoint(ctx, &reference)?;
-    ledger::fanout_replay(ctx, &input, enc_us);
+    crate::fanout::replay(ctx, &input, enc_us);
     ledger::train_replay(ctx, &input, &expected)?;
     crate::cluster::replay(ctx, &cap.trace, &reference)?;
     let overhead = ledger::overhead(|tr| closed_pass(&mut engine, &cap.requests, tr));
@@ -110,43 +123,92 @@ fn closed_pass(engine: &mut ServeEngine, requests: &[ServeRequest], tr: &mut Tra
     t.elapsed().as_secs_f64()
 }
 
+/// What the capacity phases measured.
+#[derive(Debug, Default)]
+struct Saturation {
+    /// Model answers per second of each window.
+    rates: Vec<f64>,
+    sent: usize,
+    model: usize,
+    fallback: usize,
+    shed: usize,
+    /// Wrong model answers, and admitted requests without exactly one answer.
+    wrong: usize,
+    /// [`serve_counters`] deltas, set-up blocks left out.
+    counters: [u64; 4],
+}
+
 /// Closed loop at capacity: a full micro-batch in, drain, repeat, for
-/// `secs`. Returns model answers per second of each window.
-fn saturate(
+/// `secs`. Each response is matched to its request by flow. Between
+/// windows, untimed by them, a set-up block runs `build` every
+/// [`SETUP_EVERY_S`] of measured time.
+fn saturate<T>(
     ctx: &mut Ctx,
     engine: &mut ServeEngine,
     requests: &[ServeRequest],
     expected: &[usize],
     secs: f64,
-) -> Vec<f64> {
+    build: &mut impl FnMut() -> Result<T, String>,
+    out: &mut Saturation,
+) -> Result<(), String> {
+    let position = positions(requests);
+    let (shed0, c0) = (engine.stats().shed, serve_counters());
+    // Counts the set-up blocks add, left out of the phase's.
+    let mut in_setup = [0u64; 4];
+    let (mut since_setup, mut answers) = (0.0, 0usize);
     let (t, mut w0) = (Instant::now(), Instant::now());
-    let (mut next, mut answers, mut sent) = (0usize, 0usize, 0usize);
-    let (mut rates, mut wrong, mut fallback) = (Vec::new(), 0usize, 0usize);
+    let mut next = 0usize;
     while t.elapsed().as_secs_f64() < secs {
-        let first = next;
+        let shed_before = engine.stats().shed;
         for _ in 0..MAX_BATCH {
             engine.submit(requests[next % requests.len()].clone());
             next += 1;
         }
-        for (k, r) in engine.drain_queue().iter().enumerate() {
+        out.sent += MAX_BATCH;
+        let admitted = MAX_BATCH - (engine.stats().shed - shed_before);
+        let responses = engine.drain_queue();
+        out.wrong += admitted.abs_diff(responses.len());
+        for r in &responses {
             match r.responder {
                 Responder::Model => {
                     answers += 1;
-                    wrong += usize::from(r.class != expected[(first + k) % requests.len()]);
+                    out.model += 1;
+                    let want = position.get(&r.flow).map(|&j| expected[j]);
+                    out.wrong += usize::from(want != Some(r.class));
                 }
-                Responder::Fallback => fallback += 1,
+                Responder::Fallback => out.fallback += 1,
             }
         }
-        sent += MAX_BATCH;
         let w = w0.elapsed().as_secs_f64();
         if w >= RATE_WINDOW_S {
-            rates.push(answers as f64 / w);
+            out.rates.push(answers as f64 / w);
             answers = 0;
+            since_setup += w;
+            if since_setup >= SETUP_EVERY_S {
+                let b0 = serve_counters();
+                ctx.setup_block(build)?;
+                let b1 = serve_counters();
+                (0..4).for_each(|k| in_setup[k] += b1[k] - b0[k]);
+                since_setup = 0.0;
+            }
             w0 = Instant::now();
         }
     }
-    let model = sent - fallback;
-    ctx.ops(model, wrong);
-    ctx.accounting("saturation", sent, model, fallback, sent - model - fallback);
-    rates
+    let c1 = serve_counters();
+    (0..4).for_each(|k| out.counters[k] += c1[k] - c0[k] - in_setup[k]);
+    out.shed += engine.stats().shed - shed0;
+    Ok(())
+}
+
+/// Print a phase's packed forwards and pool calls.
+fn pool_line(phase: &str, sent: usize, packed: (u64, u64), pool: (u64, u64)) {
+    let per = |n: u64| n as f64 / sent.max(1) as f64;
+    println!(
+        "  {phase}: {} packed forwards of mean {:.2} requests; per request sent {:.3} \
+         pool.par_map and {:.2} pool.par_chunks calls",
+        packed.0,
+        packed.1 as f64 / packed.0.max(1) as f64,
+        per(pool.0),
+        per(pool.1)
+    );
 }

@@ -4,15 +4,6 @@
 use crate::report::{END_TO_END, PER_LAYER};
 use crate::Workload;
 
-/// The workloads `BENCHMARK.json` lists, in its order: serving and
-/// training, the two paths that share the fewest layers. `fanout-burst`
-/// and `cluster-crash` run on request but are left out, because on a
-/// noisy 2-core host their figures spread 10-30% across seeds unless a
-/// run is long, and four long workloads do not fit the benchmark's time
-/// budget. Their layers are measured on every workload by the ledger's
-/// fan-out and cluster replays.
-const BENCHMARKED: [Workload; 2] = [Workload::ServeOpen, Workload::Train];
-
 /// The JSON subset `BENCHMARK.json` uses.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
@@ -183,7 +174,7 @@ fn benchmark_json_lists_what_the_program_runs_and_prints() {
     let v = spec();
     let workloads: Vec<&str> =
         arr(get(&v, "workloads")).iter().map(|w| str_of(get(w, "name"))).collect();
-    assert_eq!(workloads, BENCHMARKED.map(Workload::name));
+    assert_eq!(workloads, Workload::ALL.map(Workload::name));
     for (list, want) in [("end_to_end", END_TO_END), ("per_layer", PER_LAYER)] {
         let got: Vec<(&str, &str)> = arr(get(&v, list))
             .iter()

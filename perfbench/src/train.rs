@@ -152,16 +152,13 @@ fn load_corpus(dir: &std::path::Path) -> Result<Corpus, String> {
 pub fn run(ctx: &mut Ctx) -> Result<(), String> {
     // Set-up: load the corpus and build the vocabulary the epochs train
     // against.
-    let mut setups = Vec::new();
-    let mut built = None;
-    for _ in 0..ctx.setup_reps() {
-        let t = Instant::now();
-        let corpus = load_corpus(&ctx.dir)?;
+    let dir = ctx.dir.clone();
+    let mut build = || {
+        let corpus = load_corpus(&dir)?;
         let vocab = corpus.vocab();
-        setups.push(t.elapsed().as_secs_f64());
-        built = Some((corpus, vocab));
-    }
-    let (corpus, vocab) = built.expect("at least one set-up");
+        Ok((corpus, vocab))
+    };
+    let (corpus, vocab) = ctx.set_ups(&mut build)?;
 
     // Gate: the pretrained encoder is bitwise the same at 1 thread and at
     // every thread, and every loss is finite.
@@ -182,13 +179,17 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         let ok = r.clean && param_bits(&enc) == reference;
         ctx.ops(1, usize::from(!ok));
         rounds.push(r);
+        if !ctx.traced {
+            // A set-up block between rounds, outside their timing.
+            ctx.setup_block(&mut build)?;
+        }
     }
     let n = (corpus.contexts.len() + corpus.examples.len()) as f64;
     let clean = rounds.iter().filter(|r| r.clean).count();
     ctx.accounting("training rounds", rounds.len(), clean, 0, 0);
     if !ctx.traced {
         let lat: Vec<f64> = rounds.iter().map(|r| (r.pretrain_s + r.finetune_s) * 1e6).collect();
-        ctx.setup(&setups, "corpus load and vocabulary build");
+        ctx.setup("corpus load and vocabulary build");
         let what = "per round: one pretraining epoch + one fine-tuning epoch";
         ctx.latency(&lat, WINDOW_ROUNDS, what);
         let rates: Vec<f64> = lat.iter().map(|us| n / (us / 1e6)).collect();
@@ -203,10 +204,13 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         );
         let pre: Vec<f64> = rounds.iter().map(|r| r.pretrain_s).collect();
         let ft: Vec<f64> = rounds.iter().map(|r| r.finetune_s).collect();
+        let calls: Vec<f64> = rounds.iter().map(|r| r.pool_calls as f64 / 2.0).collect();
         println!(
-            "  pretrain epoch {:.4} s, fine-tune epoch {:.4} s (medians of {} rounds)",
+            "  pretrain epoch {:.4} s, fine-tune epoch {:.4} s, {:.0} pool.par_map + par_chunks \
+             calls per epoch (medians of {} rounds)",
             median(&pre),
             median(&ft),
+            median(&calls),
             rounds.len()
         );
         return Ok(());
@@ -245,13 +249,12 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         requests: &requests,
         clf: &clf,
         batches: &batches,
-        pooled_only: false,
     };
     let expected = crate::ledger::reference_classes(&clf, &requests);
     let enc_us = crate::ledger::common(ctx, &input);
     crate::ledger::checkpoint(ctx, &clf)?;
     crate::ledger::serve_replay(ctx, &input, &expected, enc_us);
-    crate::ledger::fanout_replay(ctx, &input, enc_us);
+    crate::fanout::replay(ctx, &input, enc_us);
     crate::cluster::replay(ctx, &cap.trace, &clf)?;
     let (seed, vocab) = (ctx.seed, corpus.vocab());
     let overhead = crate::ledger::overhead(|tr| {
