@@ -20,13 +20,15 @@
 //!
 //! With `--trace 0` it reports the end-to-end metrics: `setup_s` (model
 //! or corpus load, construction and warm-up), `peak_rss_mb` (VmHWM of the
-//! measuring process), `p50_us`/`p99_us` (latency of one operation: a
-//! request or a training round), `throughput_per_s` (model answers per
-//! second at capacity on `serve-open`, sequences per second on `train`)
-//! and `model_answer_ratio` (model answers over requests sent; shed and
-//! fallback answers count against it). Timings
+//! measuring process), `throughput_per_s` (model answers per second at
+//! capacity on `serve-open`, sequences per second on `train`) and
+//! `model_answer_ratio` (model answers over requests sent; shed and
+//! fallback answers count against it). Its table also prints `p50_us` and
+//! `p99_us`, the latency of one operation (a request or a training round),
+//! which `report::END_TO_END` says why it leaves out of the result. Timings
 //! are taken over many short windows and reported over the fastest twentieth
-//! of them (`util::fast_windows` says why). With `--trace 1` it records
+//! of them (`util::fast_windows` says why; serve-open's capacity windows use
+//! the fastest fifth, `util::RATE_SHARE`). With `--trace 1` it records
 //! spans around every call into the library, writes them to
 //! `.bench_work/traces/`, and reports the per-layer ledger (`ledger.rs`).
 //!
@@ -199,7 +201,7 @@ impl Ctx {
             blocks.len(),
             util::median(blocks)
         );
-        self.report.put("setup_s", util::fast_mean(blocks, true), detail);
+        self.report.put("setup_s", util::fast_mean(blocks, util::FAST_SHARE, true), detail);
     }
 
     /// Report operation latency, in time order, over windows of `w`
@@ -225,21 +227,21 @@ impl Ctx {
             windows.len(),
             Summary::of(samples).describe()
         );
-        self.report.put("p50_us", util::fast_mean(&medians, true), detail);
+        self.report.put("p50_us", util::fast_mean(&medians, util::FAST_SHARE, true), detail);
         let detail =
             format!("p99 of the {} samples of the fastest tenth of windows ({support})", tail.n);
         self.report.put("p99_us", tail.p99, detail);
     }
 
-    /// Report `throughput_per_s`: the mean of the fastest twentieth of
+    /// Report `throughput_per_s`: the mean of the fastest `share` of
     /// per-window rates.
-    pub fn throughput(&mut self, per_window: &[f64], what: &str) {
+    pub fn throughput(&mut self, per_window: &[f64], share: f64, what: &str) {
         let detail = format!(
-            "{what}; mean of the fastest twentieth of {} windows, median {:.1}",
+            "{what}; mean of the fastest {share} of {} windows, median {:.1}",
             per_window.len(),
             util::median(per_window)
         );
-        self.report.put("throughput_per_s", util::fast_mean(per_window, false), detail);
+        self.report.put("throughput_per_s", util::fast_mean(per_window, share, false), detail);
     }
 }
 

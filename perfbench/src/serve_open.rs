@@ -1,6 +1,10 @@
 //! `serve-open`: one task on one [`ServeEngine`], serving requests
 //! pre-assembled from a clean capture, in cycles of open-loop Poisson
 //! arrivals at a reference rate followed by a closed loop at capacity.
+//!
+//! Requests go out in a length-interleaved order (`util::stratified_order`),
+//! so any run of requests, and so every timing window, holds the capture's
+//! mix of short and long flows (14 to 48 tokens, ~4x apart in encoder cost).
 
 use std::path::Path;
 use std::time::Instant;
@@ -13,11 +17,11 @@ use crate::serving::{
     OpenLoop, MAX_BATCH,
 };
 use crate::trace::Tracer;
-use crate::util::{poisson_arrivals, sub_seed, Summary};
+use crate::util::{self, poisson_arrivals, stratified_order, sub_seed, Summary};
 use crate::Ctx;
 
 /// Requests per latency window of the reference phase.
-const WINDOW: usize = 200;
+const WINDOW: usize = 50;
 /// Wall time of one throughput window of the saturation phase, s.
 const RATE_WINDOW_S: f64 = 0.02;
 /// Measured saturation time between two set-up blocks, s.
@@ -41,7 +45,11 @@ fn set_up(dir: &Path, warm: &[ServeRequest]) -> Result<(ServeEngine, Vec<usize>)
 
 /// Run the workload.
 pub fn run(ctx: &mut Ctx) -> Result<(), String> {
-    let cap = load_capture(&ctx.dir)?;
+    let mut cap = load_capture(&ctx.dir)?;
+    let lengths: Vec<usize> = cap.requests.iter().map(|r| r.tokens.len()).collect();
+    let order = stratified_order(&lengths, sub_seed(ctx.seed, 9));
+    let mut taken: Vec<Option<ServeRequest>> = cap.requests.drain(..).map(Some).collect();
+    cap.requests = order.iter().map(|&i| taken[i].take().expect("a permutation")).collect();
     let reference = load_model(&ctx.dir)?;
     let expected = ledger::reference_classes(&reference, &cap.requests);
     let warm = &cap.requests[..cap.requests.len().min(MAX_BATCH)];
@@ -88,7 +96,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
             Summary::of(&ol.late_us).describe()
         );
         let what = "capacity: model answers/s with a full micro-batch always queued";
-        ctx.throughput(&sat.rates, what);
+        ctx.throughput(&sat.rates, util::RATE_SHARE, what);
         return Ok(());
     }
 

@@ -19,11 +19,14 @@ use crate::util::{median, sub_seed};
 use crate::Ctx;
 
 /// Full-length sequences per training epoch (pretraining contexts and
-/// fine-tuning examples each).
-const CORPUS_CAP: usize = 96;
+/// fine-tuning examples each). Small enough that a round takes ~90 ms, so a
+/// run holds hundreds of rounds and its fastest twentieth can fall in the
+/// host's unimpeded moments (at 96 sequences a 0.3 s round always spanned
+/// contended ones, and ten seeds spread 18%).
+const CORPUS_CAP: usize = 32;
 
 /// Rounds per latency window.
-const WINDOW_ROUNDS: usize = 3;
+const WINDOW_ROUNDS: usize = 1;
 
 /// A training corpus.
 pub struct Corpus {
@@ -195,6 +198,7 @@ pub fn run(ctx: &mut Ctx) -> Result<(), String> {
         let rates: Vec<f64> = lat.iter().map(|us| n / (us / 1e6)).collect();
         ctx.throughput(
             &rates,
+            crate::util::FAST_SHARE,
             &format!("{n} sequences per round / round time, one window per round"),
         );
         ctx.report.put(

@@ -79,6 +79,12 @@ pub fn tail_quantile(n: usize) -> Option<f64> {
 
 /// Share of a run's windows whose values `fast_mean` averages.
 pub const FAST_SHARE: f64 = 0.05;
+/// Share for windows that need both cores unimpeded at once, as the
+/// pool-sharded forwards of a capacity window do: such windows are rarer
+/// than windows of one busy thread, so the fastest twentieth of them rests
+/// on too few to repeat from run to run (12-15% spread over eight seeds,
+/// against 8% for the fastest fifth).
+pub const RATE_SHARE: f64 = 0.2;
 /// Share of a run's windows whose samples a tail percentile pools: wider
 /// than [`FAST_SHARE`], so the tail rests on enough samples.
 pub const TAIL_SHARE: f64 = 0.1;
@@ -101,10 +107,10 @@ pub fn fast_windows(times: &[f64], share: f64) -> Vec<usize> {
     idx
 }
 
-/// Mean of the best [`FAST_SHARE`] of per-window values.
-pub fn fast_mean(values: &[f64], lower_is_better: bool) -> f64 {
+/// Mean of the best `share` of per-window values.
+pub fn fast_mean(values: &[f64], share: f64, lower_is_better: bool) -> f64 {
     let keys: Vec<f64> = values.iter().map(|&v| if lower_is_better { v } else { -v }).collect();
-    let idx = fast_windows(&keys, FAST_SHARE);
+    let idx = fast_windows(&keys, share);
     idx.iter().map(|&i| values[i]).sum::<f64>() / idx.len() as f64
 }
 
@@ -191,6 +197,32 @@ pub fn poisson_arrivals(n: usize, rate: f64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// A send order for items of different cost: a permutation of
+/// `0..costs.len()` in which every run of consecutive items has close to the
+/// cost mix of the whole set. Items are ranked by cost (ties in a seeded
+/// random order) and the ranks are visited with a golden-ratio stride, so
+/// consecutive picks land far apart in the ranking and any window covers it
+/// evenly. Timing windows then differ by how the host ran, not by which
+/// requests they happened to hold. Deterministic in `(costs, seed)`.
+pub fn stratified_order(costs: &[usize], seed: u64) -> Vec<usize> {
+    let n = costs.len();
+    let mut rng = SplitMix::new(seed);
+    let mut ranked: Vec<(usize, u64, usize)> =
+        costs.iter().enumerate().map(|(i, &c)| (c, rng.next_u64(), i)).collect();
+    ranked.sort_unstable();
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut step = ((n as f64 * 0.618_033_988_749_895).round() as usize).max(1);
+    while n > 1 && gcd(step, n) != 1 {
+        step += 1;
+    }
+    (0..n).map(|k| ranked[k * step % n].2).collect()
+}
+
 /// Derive an independent sub-seed for one purpose from the run seed.
 pub fn sub_seed(seed: u64, purpose: u64) -> u64 {
     SplitMix::new(seed ^ purpose.wrapping_mul(0xD6E8_FEB8_6659_FD93)).next_u64()
@@ -217,8 +249,9 @@ mod tests {
         assert_eq!(fast_windows(&v, FAST_SHARE), vec![39, 38]);
         assert_eq!(fast_windows(&v, TAIL_SHARE), vec![39, 38, 37, 36]);
         assert_eq!(fast_windows(&[3.0], FAST_SHARE), vec![0]);
-        assert_eq!(fast_mean(&v, true), 0.5);
-        assert_eq!(fast_mean(&v, false), 38.5);
+        assert_eq!(fast_mean(&v, FAST_SHARE, true), 0.5);
+        assert_eq!(fast_mean(&v, FAST_SHARE, false), 38.5);
+        assert_eq!(fast_mean(&v, RATE_SHARE, false), 35.5);
     }
 
     #[test]
@@ -250,6 +283,26 @@ mod tests {
         let secs = *a.last().unwrap() as f64 / 1e9;
         let rate = a.len() as f64 / secs;
         assert!((rate - 1000.0).abs() < 30.0, "rate {rate}");
+    }
+
+    #[test]
+    fn stratified_order_is_a_seeded_permutation_with_even_windows() {
+        // A third cheap, a third middling, a third dear, in clumps.
+        let costs: Vec<usize> = (0..3000).map(|i| [14, 28, 48][i / 1000]).collect();
+        let order = stratified_order(&costs, 5);
+        assert_eq!(order, stratified_order(&costs, 5));
+        assert_ne!(order, stratified_order(&costs, 6));
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..3000).collect::<Vec<_>>());
+        for w in order.chunks(30) {
+            for c in [14, 28, 48] {
+                let k = w.iter().filter(|&&i| costs[i] == c).count();
+                assert!((9..=11).contains(&k), "{k} of cost {c} in a window of 30");
+            }
+        }
+        assert_eq!(stratified_order(&[3], 1), vec![0]);
+        assert!(stratified_order(&[], 1).is_empty());
     }
 
     #[test]
