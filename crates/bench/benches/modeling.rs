@@ -1,12 +1,14 @@
-//! Modeling micro-benchmarks: matmul, attention forward, encoder
-//! forward/backward, one MLM training step, and embedding queries — the
-//! inputs to E10's cost model.
+//! Modeling micro-benchmarks: matmul, the packed inference forward of
+//! attention and the encoder (one 64-token sequence on a warm scratch
+//! arena), encoder forward/backward, one MLM training step, and embedding
+//! queries — the inputs to E10's cost model.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nfm_model::nn::attention::MultiHeadAttention;
 use nfm_model::nn::transformer::{Encoder, EncoderConfig};
 use nfm_tensor::init;
 use nfm_tensor::layers::Module;
+use nfm_tensor::scratch::ScratchArena;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,7 +34,15 @@ fn bench_attention(c: &mut Criterion) {
     let mut attn = MultiHeadAttention::new(&mut rng, 32, 4);
     let x = init::normal(&mut rng, 64, 32, 1.0);
     let mut g = c.benchmark_group("attention");
-    g.bench_function("forward_T64_d32_h4", |b| b.iter(|| attn.forward_inference(&x).norm()));
+    let mut arena = ScratchArena::new();
+    g.bench_function("forward_T64_d32_h4", |b| {
+        b.iter(|| {
+            let y = attn.forward_inference_batch(&x, &[0, 64], &mut arena);
+            let n = y.norm();
+            arena.put(y);
+            n
+        })
+    });
     g.bench_function("forward_backward_T64", |b| {
         b.iter(|| {
             let y = attn.forward(&x);
@@ -50,7 +60,15 @@ fn bench_encoder(c: &mut Criterion) {
     let ids: Vec<usize> = (0..64).map(|i| 5 + i % 500).collect();
     let mut g = c.benchmark_group("encoder");
     g.throughput(Throughput::Elements(64));
-    g.bench_function("forward_T64_L2_d32", |b| b.iter(|| enc.forward_inference(&ids).norm()));
+    let mut arena = ScratchArena::new();
+    g.bench_function("forward_T64_L2_d32", |b| {
+        b.iter(|| {
+            let (h, _) = enc.forward_inference_batch(&[&ids], &mut arena);
+            let n = h.norm();
+            arena.put(h);
+            n
+        })
+    });
     g.bench_function("train_step_T64", |b| {
         b.iter(|| {
             enc.zero_grad();

@@ -3,9 +3,9 @@
 //!
 //! Claim: a deployed foundation model must keep answering when the network
 //! and the model itself misbehave. The serving engine's controls —
-//! bounded admission with deterministic shedding, deadline budgets,
-//! retry-with-backoff, and a circuit breaker that degrades to the flow-stats
-//! baseline — must together guarantee that every admitted request gets a
+//! bounded admission with deterministic shedding, deadline budgets, and a
+//! circuit breaker that degrades to the flow-stats baseline — must together
+//! guarantee that every admitted request gets a
 //! response, with zero panics, and that a fixed seed reproduces the whole
 //! availability table bitwise.
 //!
@@ -26,7 +26,7 @@ use nfm_core::pipeline::{
     FineTuneConfig, FmClassifier, FoundationModel, PipelineConfig, TextExample,
 };
 use nfm_core::report::Table;
-use nfm_core::serve::{BreakerConfig, Fallback, RetryPolicy, ServeConfig, ServeEngine, ServeStats};
+use nfm_core::serve::{BreakerConfig, Fallback, ServeConfig, ServeEngine, ServeStats};
 use nfm_model::pretrain::{PretrainConfig, TaskMix};
 use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_net::capture::Trace;
@@ -157,7 +157,6 @@ fn scenarios() -> Vec<Scenario> {
         ServeConfig { queue_capacity: 6, shed_watermark: 3, ..ServeConfig::default() };
     let breaker_fast = ServeConfig {
         breaker: BreakerConfig { failure_threshold: 2, cooldown: 4, probes_to_close: 1 },
-        retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
         ..ServeConfig::default()
     };
     vec![
@@ -202,11 +201,7 @@ fn scenarios() -> Vec<Scenario> {
             arrivals: bursty,
             serve: ServeConfig {
                 deadline_budget: 400_000,
-                ..ServeConfig {
-                    breaker: breaker_fast.breaker,
-                    retry: breaker_fast.retry,
-                    ..small_queue
-                }
+                ..ServeConfig { breaker: breaker_fast.breaker, ..small_queue }
             },
             poison_midrun: true,
         },

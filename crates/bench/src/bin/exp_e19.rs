@@ -9,7 +9,7 @@
 //! answering K tasks about the same flow should run the shared encoder
 //! once, cache the pooled embedding, and fan it out to K lightweight heads,
 //! instead of running K full forwards. The risk is semantic: batching,
-//! shedding, deadlines, breakers, and retries are all per-task state
+//! shedding, deadlines, and breakers are all per-task state
 //! machines, and sharing compute must not change a single answer.
 //!
 //! This binary builds one [`FmBackbone`] plus a [`TaskHead`] per NetGLUE

@@ -868,7 +868,6 @@ impl ClusterSupervisor {
             class: self.fallback.predict(&request.tokens),
             responder: Responder::Fallback,
             cost: 0,
-            retries: 0,
             deadline_missed: false,
         }
     }

@@ -665,10 +665,10 @@ impl FmClassifier {
 
     /// Raw logits for a token sequence.
     pub fn logits(&self, tokens: &[String]) -> Vec<f32> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let hidden = self.encoder.forward_inference(&ids);
-        let pooled = pool(&hidden, self.pooling);
-        self.head.forward_inference(&pooled).row(0).to_vec()
+        let (logits, _) = self
+            .logits_within(tokens, u64::MAX)
+            .expect("an unlimited budget covers every [CLS]/[SEP]-framed sequence");
+        logits
     }
 
     /// Predicted class id. NaN logits compare as −∞ (a degraded model
@@ -676,6 +676,11 @@ impl FmClassifier {
     /// resolve to the lowest class index.
     pub fn predict(&self, tokens: &[String]) -> usize {
         argmax_nan_tolerant(&self.logits(tokens))
+    }
+
+    /// Deterministic cost of the classification head on one pooled row.
+    fn head_cost(&self) -> u64 {
+        (self.encoder.config.d_model * self.n_classes) as u64
     }
 
     /// Deterministic inference cost (multiply-accumulate units) of
@@ -686,28 +691,22 @@ impl FmClassifier {
         // encode_context adds [CLS]/[SEP] framing; mirror it so callers can
         // budget from raw token counts.
         let t = (n_tokens + 2).min(self.max_len);
-        let head = (self.encoder.config.d_model * self.n_classes) as u64;
-        self.encoder.inference_cost(t) + head
+        self.encoder.inference_cost(t) + self.head_cost()
     }
 
-    /// Deadline-aware logits: computes within `budget` cost units or
-    /// returns a typed [`InferError`] without finishing the forward pass.
-    /// On success also reports the cost actually spent. Never panics —
-    /// empty post-encoding sequences surface as [`InferError::EmptyInput`].
+    /// Deadline-aware logits: [`Encoder::plan_inference_cost`] plus the
+    /// head charge decide up front whether the request fits `budget`; if
+    /// it does, one packed forward of a single sequence computes the
+    /// logits, and the cost actually spent is reported with them.
+    /// Otherwise the typed [`InferError`] comes back without any compute.
+    /// Never panics.
     pub fn logits_within(
         &self,
         tokens: &[String],
         budget: u64,
     ) -> Result<(Vec<f32>, u64), InferError> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let head_cost = (self.encoder.config.d_model * self.n_classes) as u64;
-        let (hidden, spent) = self.encoder.forward_inference_within(&ids, budget)?;
-        if spent + head_cost > budget {
-            return Err(InferError::DeadlineExceeded { spent, needed: head_cost, budget });
-        }
-        let pooled = pool(&hidden, self.pooling);
-        let logits = self.head.forward_inference(&pooled).row(0).to_vec();
-        Ok((logits, spent + head_cost))
+        let mut out = self.logits_batch_within(&[tokens], budget, &mut ScratchArena::new());
+        out.pop().expect("one outcome per request")
     }
 
     /// Deadline-aware predict: argmax of [`FmClassifier::logits_within`]
@@ -725,115 +724,75 @@ impl FmClassifier {
     /// identical to calling [`FmClassifier::logits_within`] per request
     /// with the same `budget`.
     ///
-    /// Each request's charge schedule is first replayed without compute
-    /// ([`Encoder::plan_inference_cost`] plus the head check), so requests
-    /// the budget cannot cover get their exact deterministic
-    /// [`InferError::DeadlineExceeded`] without holding up the batch. The
-    /// affordable remainder runs through one packed
-    /// [`Encoder::forward_inference_batch`] — the layer projections and the
-    /// classifier head each execute as a single GEMM across the batch —
-    /// with scratch matrices drawn from `arena`. Per-request cost
-    /// accounting is unchanged: each request is charged its own encoder
-    /// spend plus the head cost, never a batch-amortised share.
+    /// Requests the budget cannot cover get their exact deterministic
+    /// [`InferError`] without holding up the batch; the affordable
+    /// remainder runs through one packed
+    /// [`Encoder::forward_inference_batch`], and the classifier head runs
+    /// as a single GEMM across it, with scratch matrices drawn from
+    /// `arena`. Per-request cost accounting is unchanged: each request is
+    /// charged its own encoder spend plus the head cost, never a
+    /// batch-amortised share.
     pub fn logits_batch_within(
         &self,
         batch: &[&[String]],
         budget: u64,
         arena: &mut ScratchArena,
     ) -> Vec<CostedLogits> {
-        let head_cost = (self.encoder.config.d_model * self.n_classes) as u64;
+        let head_cost = self.head_cost();
         let encoded: Vec<Vec<usize>> =
             batch.iter().map(|t| encode_context(&self.vocab, t, self.max_len)).collect();
+        // Per-request results are independent of batch composition (the
+        // bitwise tests compare packed batches with batches of one), so a
+        // big batch can be sharded across workers — one spawn per drain
+        // instead of one per kernel — and still produce the same bits at
+        // every thread count. The gate is the planned cost of the requests
+        // the budget covers: small drains keep the single packed pass and
+        // the engine's warm arena.
+        let planned: Vec<u64> = encoded
+            .iter()
+            .filter_map(|ids| self.encoder.plan_inference_cost(ids.len(), budget).ok())
+            .collect();
+        let threads = tpool::effective_threads().min(planned.len());
+        let work = planned.iter().map(|s| s + head_cost).sum::<u64>() as usize;
+        let parts = if threads > 1 && work >= tpool::PAR_WORK_MIN {
+            let shards = tpool::shard_ranges(encoded.len(), threads);
+            tpool::par_map(shards.len(), |s| {
+                self.logits_shard(&encoded, shards[s].clone(), budget, &mut ScratchArena::new())
+            })
+        } else {
+            vec![self.logits_shard(&encoded, 0..encoded.len(), budget, arena)]
+        };
         let mut results: Vec<Option<CostedLogits>> = (0..batch.len()).map(|_| None).collect();
-        let mut run: Vec<(usize, u64)> = Vec::with_capacity(batch.len());
-        for (i, ids) in encoded.iter().enumerate() {
-            match self.encoder.plan_inference_cost(ids.len(), budget) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok(enc_spent) if enc_spent + head_cost > budget => {
-                    results[i] = Some(Err(InferError::DeadlineExceeded {
-                        spent: enc_spent,
-                        needed: head_cost,
-                        budget,
-                    }));
-                }
-                Ok(enc_spent) => run.push((i, enc_spent)),
-            }
-        }
-        if !run.is_empty() {
-            // Per-request results are independent of batch composition (the
-            // bitwise test below packs every prefix), so a big batch can be
-            // sharded across workers — one spawn per drain instead of one
-            // per kernel — and still produce the same bits at every thread
-            // count. The gate is the batch's own deterministic cost
-            // estimate: small drains keep the single packed pass and the
-            // engine's warm arena.
-            let threads = tpool::effective_threads().min(run.len());
-            let total_work: u64 =
-                run.iter().map(|&(_, s)| s).sum::<u64>() + head_cost * run.len() as u64;
-            if threads > 1 && total_work as usize >= tpool::PAR_WORK_MIN {
-                let shards = tpool::shard_ranges(run.len(), threads);
-                let encoded = &encoded;
-                let run = &run;
-                let shard_out = tpool::par_map(shards.len(), |s| {
-                    let mut local = ScratchArena::new();
-                    self.packed_forward(encoded, &run[shards[s].clone()], head_cost, &mut local)
-                });
-                for (i, r) in shard_out.into_iter().flatten() {
-                    results[i] = Some(Ok(r));
-                }
-            } else {
-                for (i, r) in self.packed_forward(&encoded, &run, head_cost, arena) {
-                    results[i] = Some(Ok(r));
-                }
-            }
+        for (i, r) in parts.into_iter().flatten() {
+            results[i] = Some(r);
         }
         results.into_iter().map(|r| r.expect("every request resolved")).collect()
     }
 
-    /// One packed forward over `run` (indices into `encoded` plus their
-    /// planned encoder spend): the layer projections and the classifier
-    /// head each execute as a single GEMM across the shard, with scratch
-    /// drawn from `arena`. Returns `(request_index, (logits, spent))` per
-    /// entry, bitwise identical to per-request [`FmClassifier::logits_within`].
-    fn packed_forward(
+    /// One plan/pack/pool pass ([`pooled_within`]) over `encoded[range]`
+    /// plus one head GEMM across its pooled rows. Returns
+    /// `(request_index, outcome)` for every request in the range.
+    fn logits_shard(
         &self,
         encoded: &[Vec<usize>],
-        run: &[(usize, u64)],
-        head_cost: u64,
+        range: std::ops::Range<usize>,
+        budget: u64,
         arena: &mut ScratchArena,
-    ) -> Vec<(usize, (Vec<f32>, u64))> {
-        let seqs: Vec<&[usize]> = run.iter().map(|&(i, _)| encoded[i].as_slice()).collect();
-        let (hidden, bounds) = self.encoder.forward_inference_batch(&seqs, arena);
-        let mut pooled = arena.take(run.len(), self.encoder.config.d_model);
-        for (j, _) in run.iter().enumerate() {
-            // Pool straight off the packed hidden rows — the same
-            // per-element operations `pool` applies to a materialised
-            // row slice (CLS copy, or ascending-row sum then scale), so
-            // the same bits without the copies.
-            let (r0, r1) = (bounds[j], bounds[j + 1]);
-            let prow = pooled.row_mut(j);
-            match self.pooling {
-                Pooling::Cls => prow.copy_from_slice(hidden.row(r0)),
-                Pooling::Mean => {
-                    for r in r0..r1 {
-                        for (o, v) in prow.iter_mut().zip(hidden.row(r)) {
-                            *o += v;
-                        }
-                    }
-                    let inv = 1.0 / (r1 - r0) as f32;
-                    for o in prow.iter_mut() {
-                        *o *= inv;
-                    }
-                }
-            }
+    ) -> Vec<(usize, CostedLogits)> {
+        let head_cost = self.head_cost();
+        let start = range.start;
+        let pb =
+            pooled_within(&self.encoder, self.pooling, &encoded[range], budget, head_cost, arena);
+        let mut out: Vec<(usize, CostedLogits)> =
+            pb.refused.into_iter().map(|(i, e)| (start + i, Err(e))).collect();
+        if !pb.rows.is_empty() {
+            let logits = self.head.forward_inference(&pb.pooled);
+            out.extend(pb.rows.iter().enumerate().map(|(j, &(i, spent))| {
+                (start + i, Ok((logits.row(j).to_vec(), spent + head_cost)))
+            }));
         }
-        arena.put(hidden);
-        let logits_m = self.head.forward_inference(&pooled);
-        arena.put(pooled);
-        run.iter()
-            .enumerate()
-            .map(|(j, &(i, enc_spent))| (i, (logits_m.row(j).to_vec(), enc_spent + head_cost)))
-            .collect()
+        arena.put(pb.pooled);
+        out
     }
 
     /// Predicted class ids for a batch of sequences. Examples are sharded
@@ -857,9 +816,12 @@ impl FmClassifier {
     /// Pooled embedding (pre-head), used by the OOD detectors. Uses the
     /// same pooling the head was trained with.
     pub fn embed(&self, tokens: &[String]) -> Vec<f32> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let hidden = self.encoder.forward_inference(&ids);
-        pool(&hidden, self.pooling).row(0).to_vec()
+        let ids = [encode_context(&self.vocab, tokens, self.max_len)];
+        let mut arena = ScratchArena::new();
+        pooled_within(&self.encoder, self.pooling, &ids, u64::MAX, 0, &mut arena)
+            .pooled
+            .row(0)
+            .to_vec()
     }
 
     /// Evaluate on examples, returning the confusion matrix. Predictions
@@ -970,14 +932,12 @@ impl FmBackbone {
     /// Run the shared encoder once for a whole micro-batch and pool each
     /// request's hidden states, under a per-request deadline `budget`.
     ///
-    /// Each request's charge schedule is first replayed without compute
-    /// ([`Encoder::plan_inference_cost`]), so requests the budget cannot
-    /// cover surface their exact deterministic [`InferError`] in
-    /// `refused` without holding up the batch. The affordable remainder
-    /// runs through one packed [`Encoder::forward_inference_batch`], and
-    /// pooling applies the same per-element operations as the
-    /// single-request path, so every row of `pooled` is bitwise identical
-    /// to what [`FmClassifier::logits_within`] pools for that request.
+    /// Requests the budget cannot cover ([`Encoder::plan_inference_cost`])
+    /// surface their exact deterministic [`InferError`] in `refused`
+    /// without holding up the batch. The affordable remainder runs through
+    /// one packed [`Encoder::forward_inference_batch`], and every row of
+    /// `pooled` is bitwise identical to what [`FmClassifier::logits_within`]
+    /// pools for that request.
     pub fn pooled_batch_within(
         &self,
         batch: &[&[String]],
@@ -986,43 +946,66 @@ impl FmBackbone {
     ) -> PooledBatch {
         let encoded: Vec<Vec<usize>> =
             batch.iter().map(|t| encode_context(&self.vocab, t, self.max_len)).collect();
-        let mut refused = Vec::new();
-        let mut run: Vec<(usize, u64)> = Vec::with_capacity(batch.len());
-        for (i, ids) in encoded.iter().enumerate() {
-            match self.encoder.plan_inference_cost(ids.len(), budget) {
-                Err(e) => refused.push((i, e)),
-                Ok(enc_spent) => run.push((i, enc_spent)),
+        pooled_within(&self.encoder, self.pooling, &encoded, budget, 0, arena)
+    }
+}
+
+/// Plan, pack and pool one micro-batch of encoded sequences: the inference
+/// core shared by [`FmClassifier`] and [`FmBackbone`].
+///
+/// Each sequence is first checked against `budget` without compute
+/// ([`Encoder::plan_inference_cost`], then `head_cost` for the head that
+/// will read its pooled row), so requests the budget cannot cover get their
+/// exact deterministic [`InferError`] in `refused`. The affordable
+/// remainder runs through one packed [`Encoder::forward_inference_batch`],
+/// and each row is pooled straight off the packed hidden states with the
+/// per-element operations [`pool`] applies in training (CLS copy, or
+/// ascending-row sum then scale), so the same bits without the copies.
+/// `pooled` comes from `arena`; the caller retires it.
+fn pooled_within(
+    encoder: &Encoder,
+    pooling: Pooling,
+    encoded: &[Vec<usize>],
+    budget: u64,
+    head_cost: u64,
+    arena: &mut ScratchArena,
+) -> PooledBatch {
+    let mut rows = Vec::with_capacity(encoded.len());
+    let mut refused = Vec::new();
+    for (i, ids) in encoded.iter().enumerate() {
+        match encoder.plan_inference_cost(ids.len(), budget) {
+            Err(e) => refused.push((i, e)),
+            Ok(spent) if spent + head_cost > budget => {
+                refused
+                    .push((i, InferError::DeadlineExceeded { spent, needed: head_cost, budget }));
             }
+            Ok(spent) => rows.push((i, spent)),
         }
-        let mut pooled = arena.take(run.len(), self.d_model());
-        if !run.is_empty() {
-            let seqs: Vec<&[usize]> = run.iter().map(|&(i, _)| encoded[i].as_slice()).collect();
-            let (hidden, bounds) = self.encoder.forward_inference_batch(&seqs, arena);
-            for (j, _) in run.iter().enumerate() {
-                // Pool straight off the packed hidden rows — the same
-                // per-element operations as the single-request `pool`, so
-                // the same bits without the copies.
-                let (r0, r1) = (bounds[j], bounds[j + 1]);
-                let prow = pooled.row_mut(j);
-                match self.pooling {
-                    Pooling::Cls => prow.copy_from_slice(hidden.row(r0)),
-                    Pooling::Mean => {
-                        for r in r0..r1 {
-                            for (o, v) in prow.iter_mut().zip(hidden.row(r)) {
-                                *o += v;
-                            }
+    }
+    let mut pooled = arena.take(rows.len(), encoder.config.d_model);
+    if !rows.is_empty() {
+        let seqs: Vec<&[usize]> = rows.iter().map(|&(i, _)| encoded[i].as_slice()).collect();
+        let (hidden, bounds) = encoder.forward_inference_batch(&seqs, arena);
+        for (j, span) in bounds.windows(2).enumerate() {
+            let prow = pooled.row_mut(j);
+            match pooling {
+                Pooling::Cls => prow.copy_from_slice(hidden.row(span[0])),
+                Pooling::Mean => {
+                    for r in span[0]..span[1] {
+                        for (o, v) in prow.iter_mut().zip(hidden.row(r)) {
+                            *o += v;
                         }
-                        let inv = 1.0 / (r1 - r0) as f32;
-                        for o in prow.iter_mut() {
-                            *o *= inv;
-                        }
+                    }
+                    let inv = 1.0 / (span[1] - span[0]) as f32;
+                    for o in prow.iter_mut() {
+                        *o *= inv;
                     }
                 }
             }
-            arena.put(hidden);
         }
-        PooledBatch { pooled, rows: run, refused }
+        arena.put(hidden);
     }
+    PooledBatch { pooled, rows, refused }
 }
 
 /// A lightweight per-task classification head detached from its shared
@@ -1381,6 +1364,62 @@ mod tests {
                 }
             }
             assert!(arena.available() > 0, "arena retains warm buffers");
+        }
+    }
+
+    #[test]
+    fn logits_within_is_the_plan_then_one_packed_forward() {
+        let (fm, _) = tiny_fm();
+        let train: Vec<TextExample> = (0..10)
+            .map(|i| TextExample {
+                tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
+                label: i % 2,
+            })
+            .collect();
+        let short = vec!["IP4".to_string(), "PROTO_UDP".to_string()];
+        let long: Vec<String> = (0..60).map(|i| format!("tok{}", i % 7)).collect();
+        for pooling in [Pooling::Cls, Pooling::Mean] {
+            let cfg = FineTuneConfig { pooling, ..FineTuneConfig::default() };
+            let clf = FmClassifier::fine_tune(&fm, &train, 2, &cfg).expect("fine-tuning failed");
+            // Reference: the training forward on a clone, pooled and headed.
+            let reference = |tokens: &[String]| -> Vec<u32> {
+                let ids = encode_context(&clf.vocab, tokens, clf.max_len);
+                let pooled = pool(&clf.encoder.clone().forward(&ids), clf.pooling);
+                clf.head.forward_inference(&pooled).row(0).iter().map(|v| v.to_bits()).collect()
+            };
+            for tokens in [&short, &long] {
+                // An exact budget suffices; over-long input is charged at
+                // its clamped length.
+                let cost = clf.inference_cost(tokens.len());
+                let (logits, spent) = clf.logits_within(tokens, cost).expect("exact budget");
+                assert_eq!(spent, cost);
+                assert_eq!(
+                    logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    reference(tokens)
+                );
+                // One unit short fails at the head charge, after the
+                // encoder plan fit.
+                let err = clf.logits_within(tokens, cost - 1).expect_err("one unit short");
+                let head_cost = clf.head_cost();
+                assert_eq!(
+                    err,
+                    InferError::DeadlineExceeded {
+                        spent: cost - head_cost,
+                        needed: head_cost,
+                        budget: cost - 1
+                    }
+                );
+                assert_eq!(clf.logits_within(tokens, cost - 1).unwrap_err(), err);
+                let zero = clf.logits_within(tokens, 0).expect_err("zero budget");
+                assert!(zero.to_string().contains("deadline exceeded"));
+            }
+            assert_eq!(clf.inference_cost(long.len()), clf.inference_cost(clf.max_len));
+            // An empty sequence is refused by the shared plan, never run.
+            let mut arena = ScratchArena::new();
+            let pb =
+                pooled_within(&clf.encoder, clf.pooling, &[Vec::new()], u64::MAX, 0, &mut arena);
+            assert!(pb.rows.is_empty());
+            assert_eq!(pb.refused, vec![(0, InferError::EmptyInput)]);
         }
     }
 

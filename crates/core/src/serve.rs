@@ -5,7 +5,7 @@
 //!
 //! [`ServeEngine`] pulls [`TracePacket`]s from a capture source, assembles
 //! bidirectional flows, and classifies each flow with a fine-tuned
-//! [`FmClassifier`] under four explicit robustness controls:
+//! [`FmClassifier`] under three explicit robustness controls:
 //!
 //! 1. **Bounded admission queue with deterministic load shedding** — above a
 //!    watermark, arrivals are shed with a probability that rises with queue
@@ -14,19 +14,21 @@
 //!    decisions bit for bit.
 //! 2. **Per-request deadline budgets** — deadlines are metered in the
 //!    deterministic cost units of
-//!    [`Encoder::forward_inference_within`](nfm_model::nn::transformer::Encoder::forward_inference_within)
+//!    [`Encoder::plan_inference_cost`](nfm_model::nn::transformer::Encoder::plan_inference_cost)
 //!    (a multiply-accumulate proxy for wall time), so a request that misses
 //!    its deadline misses it identically on every run.
-//! 3. **Retry with backoff** — transient model faults are retried a bounded
-//!    number of times, each retry charging a growing backoff cost against
-//!    the request's remaining budget. The same policy drives
-//!    [`load_model_with_retry`] for checkpoint loads.
-//! 4. **Circuit breaker with graceful degradation** — after K consecutive
+//! 3. **Circuit breaker with graceful degradation** — after K consecutive
 //!    failed requests the breaker opens and traffic is answered by the
 //!    [`Fallback`] baseline (GRU or class-prior heuristic from
 //!    [`crate::baselines`]) instead of being dropped; after a cooldown the
 //!    breaker half-opens and probes the model, closing again once probes
 //!    succeed.
+//!
+//! The model is deterministic, so a request whose logits come back
+//! non-finite is not retried: a retry would recompute the same logits.
+//! Transient faults are an I/O matter, and [`RetryPolicy`] with exponential
+//! backoff drives [`load_model_with_retry`] and
+//! [`load_classifier_with_retry`] for checkpoint loads.
 //!
 //! Every admitted request gets a response — from the model or the fallback —
 //! and nothing in this module panics on hostile input.
@@ -297,7 +299,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Report that a model-answered request failed (after any retries).
+    /// Report that a model-answered request failed.
     pub fn on_failure(&mut self) {
         match self.state {
             BreakerState::Closed => {
@@ -368,12 +370,10 @@ pub struct ServeConfig {
     pub max_tokens: usize,
     /// Seed for the shed decision RNG.
     pub seed: u64,
-    /// Retry policy for transient model faults.
-    pub retry: RetryPolicy,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Requests per micro-batch when draining the queue (≤ 1 disables
-    /// batching and serves strictly one request at a time).
+    /// Requests per micro-batch when draining the queue (≤ 1 runs one
+    /// packed forward per request).
     pub max_batch: usize,
     /// Cap on the summed planned inference cost of one micro-batch, in the
     /// same deterministic units as `deadline_budget`. A batch always takes
@@ -393,7 +393,6 @@ impl Default for ServeConfig {
             deadline_budget: u64::MAX,
             max_tokens: 64,
             seed: 17,
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             max_batch: 1,
             batch_cost_budget: u64::MAX,
@@ -420,10 +419,8 @@ pub struct Response {
     pub class: usize,
     /// Who answered.
     pub responder: Responder,
-    /// Deadline-budget cost units spent (inference plus retry backoff).
+    /// Deadline-budget cost units spent on inference.
     pub cost: u64,
-    /// Model retries attempted for this request.
-    pub retries: usize,
     /// True when the model path was abandoned for running out of budget.
     pub deadline_missed: bool,
 }
@@ -444,10 +441,8 @@ pub struct ServeStats {
     pub answered_fallback: usize,
     /// Requests whose model path ran out of deadline budget.
     pub deadline_misses: usize,
-    /// Model attempts that produced non-finite logits.
+    /// Model answers that came back with non-finite logits.
     pub model_failures: usize,
-    /// Model retries attempted across all requests.
-    pub retries: usize,
     /// Circuit-breaker trips (to open).
     pub breaker_trips: usize,
     /// Circuit-breaker recoveries (half-open probes closing it).
@@ -874,22 +869,16 @@ impl ServeEngine {
         self.answer(request, None)
     }
 
-    /// Answer every queued request, in admission order. With
-    /// `max_batch > 1` the queue drains in micro-batches: each batch's
-    /// token sequences run through the model as one packed forward pass
+    /// Answer every queued request, in admission order. The queue drains
+    /// in micro-batches of up to `max_batch` requests: each batch's token
+    /// sequences run through the model as one packed forward pass
     /// ([`FmClassifier::logits_batch_within`]) with scratch buffers reused
     /// across batches, and every request is then settled individually
-    /// against the breaker/retry/deadline state machine. Responses and
+    /// against the breaker/deadline state machine. Responses and
     /// statistics are bitwise identical to serving the same requests one
     /// at a time via [`ServeEngine::serve_one`].
     pub fn drain_queue(&mut self) -> Vec<Response> {
         let mut responses = Vec::with_capacity(self.queue.len());
-        if self.config.max_batch <= 1 {
-            while let Some(req) = self.queue.pop_front() {
-                responses.push(self.answer(req, None));
-            }
-            return responses;
-        }
         while !self.queue.is_empty() {
             let batch = self.next_batch();
             let precomputed = self.run_batch(&batch);
@@ -904,12 +893,11 @@ impl ServeEngine {
     /// whose summed planned inference cost (the same deterministic units
     /// as `deadline_budget`) stays within `batch_cost_budget`. The first
     /// request of a batch is always taken, so an over-budget single
-    /// request degrades to unbatched serving rather than wedging the
-    /// queue.
+    /// request is served alone rather than wedging the queue.
     fn next_batch(&mut self) -> Vec<ServeRequest> {
         let mut batch = Vec::new();
         let mut planned = 0u64;
-        while batch.len() < self.config.max_batch {
+        while batch.len() < self.config.max_batch.max(1) {
             let Some(front) = self.queue.front() else { break };
             let cost = self.clf.inference_cost(front.tokens.len());
             if !batch.is_empty() && planned.saturating_add(cost) > self.config.batch_cost_budget {
@@ -922,27 +910,25 @@ impl ServeEngine {
     }
 
     /// Run one micro-batch through the packed forward pass, returning the
-    /// per-request model outcome to replay inside [`ServeEngine::answer`].
-    /// `None` entries mean "compute lazily": a single-request batch gains
-    /// nothing from packing, and while the breaker is open most requests
-    /// will be denied before ever touching the model, so eager batch
-    /// compute would be wasted work (the half-open probe computes lazily
-    /// and identically).
-    #[allow(clippy::type_complexity)]
-    fn run_batch(
-        &mut self,
-        batch: &[ServeRequest],
-    ) -> Vec<Option<Result<(Vec<f32>, u64), InferError>>> {
-        if batch.len() <= 1 || self.breaker.state() == BreakerState::Open {
+    /// per-request model outcome to settle inside [`ServeEngine::answer`].
+    /// While the breaker is open most requests will be denied before ever
+    /// touching the model, so the batch is not computed: every entry is
+    /// `None`, and the half-open probe computes lazily and identically.
+    /// The `serve.batch.*` counters count packed forwards of two or more
+    /// requests.
+    fn run_batch(&mut self, batch: &[ServeRequest]) -> Vec<Option<CostedLogits>> {
+        if self.breaker.state() == BreakerState::Open {
             return batch.iter().map(|_| None).collect();
         }
         let tokens: Vec<&[String]> = batch.iter().map(|r| r.tokens.as_slice()).collect();
         let budget = self.config.deadline_budget;
         let results = self.clf.logits_batch_within(&tokens, budget, &mut self.arena);
-        nfm_obs::counter!("serve.batch.count").inc();
-        nfm_obs::counter!("serve.batch.requests").add(batch.len() as u64);
-        nfm_obs::histogram!("serve.batch.size", nfm_obs::Unit::Count, BATCH_SIZE_EDGES)
-            .observe(batch.len() as u64);
+        if batch.len() > 1 {
+            nfm_obs::counter!("serve.batch.count").inc();
+            nfm_obs::counter!("serve.batch.requests").add(batch.len() as u64);
+            nfm_obs::histogram!("serve.batch.size", nfm_obs::Unit::Count, BATCH_SIZE_EDGES)
+                .observe(batch.len() as u64);
+        }
         results.into_iter().map(Some).collect()
     }
 
@@ -987,20 +973,6 @@ impl ServeEngine {
         nfm_obs::gauge!("serve.queue.depth").set(self.queue.len() as f64);
     }
 
-    /// Answer one admitted request: model first (under the breaker, the
-    /// deadline budget, and the retry policy), fallback otherwise. Always
-    /// returns a response.
-    ///
-    /// `pre` is an optional precomputed model outcome from the batched
-    /// forward pass, evaluated at the full `deadline_budget`. Because the
-    /// model is deterministic, every retry of the single-request path
-    /// recomputes the exact same logits at the exact same cost, so one
-    /// budget-level result replays the whole retry ladder: an attempt with
-    /// `remaining` budget succeeds iff the precomputed cost fits, and
-    /// fails with a deadline error otherwise (the serve state machine
-    /// matches the error variant only, so the replayed error's accounting
-    /// fields never influence a response). With `pre = None` the model is
-    /// invoked lazily — and only if the breaker admits the request.
     /// Score one model answer against the drift monitor (when armed):
     /// quarantine suspicious traffic, remember the answer for delayed
     /// feedback, and surface trips. The monitor's embedding forward pass is
@@ -1038,101 +1010,71 @@ impl ServeEngine {
         }
     }
 
-    fn answer(
-        &mut self,
-        request: ServeRequest,
-        pre: Option<Result<(Vec<f32>, u64), InferError>>,
-    ) -> Response {
-        let budget = self.config.deadline_budget;
-        let mut remaining = budget;
-        let mut retries_used = 0usize;
+    /// Answer one admitted request: the model if the breaker admits it and
+    /// the request fits its deadline budget, the fallback otherwise.
+    /// Always returns a response.
+    ///
+    /// `pre` is the request's model outcome from a packed forward at the
+    /// full `deadline_budget`. The model is deterministic, so that one
+    /// outcome is the request's only possible outcome: finite logits are a
+    /// model answer, non-finite logits a model failure charged to the
+    /// breaker, and a refusal a deadline miss (load, not model health) or
+    /// an empty input. With `pre = None` the model is invoked lazily — and
+    /// only if the breaker admits the request.
+    fn answer(&mut self, request: ServeRequest, pre: Option<CostedLogits>) -> Response {
+        let mut cost = 0u64;
         let mut deadline_missed = false;
         if self.breaker.try_acquire() {
-            let pre = pre.unwrap_or_else(|| self.clf.logits_within(&request.tokens, budget));
-            loop {
-                let attempt = match &pre {
-                    Ok((logits, cost)) => {
-                        if *cost <= remaining {
-                            Ok((logits.clone(), *cost))
-                        } else {
-                            Err(InferError::DeadlineExceeded {
-                                spent: 0,
-                                needed: *cost,
-                                budget: remaining,
-                            })
-                        }
-                    }
-                    Err(e) => Err(e.clone()),
-                };
-                match attempt {
-                    Ok((logits, spent)) => {
-                        remaining = remaining.saturating_sub(spent);
-                        if logits.iter().all(|v| v.is_finite()) {
-                            self.breaker.on_success();
-                            self.stats.answered_model += 1;
-                            nfm_obs::counter!("serve.answered_model").inc();
-                            nfm_obs::histogram!(
-                                "serve.request.cost",
-                                nfm_obs::Unit::Cost,
-                                nfm_obs::COST_EDGES
-                            )
-                            .observe(budget - remaining);
-                            let class = argmax_nan_tolerant(&logits);
-                            self.score_drift(&request, class, &logits);
-                            return Response {
-                                flow: request.flow,
-                                class,
-                                responder: Responder::Model,
-                                cost: budget - remaining,
-                                retries: retries_used,
-                                deadline_missed: false,
-                            };
-                        }
-                        // Non-finite logits: the model itself is unhealthy
-                        // (e.g. NaN-poisoned weights). Retry within budget,
-                        // then report one failure to the breaker.
-                        self.stats.model_failures += 1;
-                        nfm_obs::counter!("serve.model_failures").inc();
-                        if retries_used < self.config.retry.max_retries {
-                            let backoff = self.config.retry.backoff_cost(retries_used);
-                            retries_used += 1;
-                            self.stats.retries += 1;
-                            nfm_obs::counter!("serve.retries").inc();
-                            if remaining <= backoff {
-                                deadline_missed = true;
-                                self.stats.deadline_misses += 1;
-                                nfm_obs::counter!("serve.deadline_misses").inc();
-                                self.breaker.on_failure();
-                                break;
-                            }
-                            remaining -= backoff;
-                            continue;
-                        }
-                        self.breaker.on_failure();
-                        break;
-                    }
-                    Err(InferError::DeadlineExceeded { .. }) => {
-                        // A deadline miss is load, not model health: the
-                        // fallback answers but the breaker is not charged.
-                        deadline_missed = true;
-                        self.stats.deadline_misses += 1;
-                        nfm_obs::counter!("serve.deadline_misses").inc();
-                        break;
-                    }
-                    Err(InferError::EmptyInput) => break,
+            let budget = self.config.deadline_budget;
+            let outcome = pre.unwrap_or_else(|| self.clf.logits_within(&request.tokens, budget));
+            match outcome {
+                Ok((logits, spent)) if logits.iter().all(|v| v.is_finite()) => {
+                    self.breaker.on_success();
+                    self.stats.answered_model += 1;
+                    nfm_obs::counter!("serve.answered_model").inc();
+                    nfm_obs::histogram!(
+                        "serve.request.cost",
+                        nfm_obs::Unit::Cost,
+                        nfm_obs::COST_EDGES
+                    )
+                    .observe(spent);
+                    let class = argmax_nan_tolerant(&logits);
+                    self.score_drift(&request, class, &logits);
+                    return Response {
+                        flow: request.flow,
+                        class,
+                        responder: Responder::Model,
+                        cost: spent,
+                        deadline_missed: false,
+                    };
                 }
+                Ok((_, spent)) => {
+                    // Non-finite logits: the model itself is unhealthy
+                    // (e.g. NaN-poisoned weights).
+                    cost = spent;
+                    self.stats.model_failures += 1;
+                    nfm_obs::counter!("serve.model_failures").inc();
+                    self.breaker.on_failure();
+                }
+                Err(InferError::DeadlineExceeded { .. }) => {
+                    // A deadline miss is load, not model health: the
+                    // fallback answers but the breaker is not charged.
+                    deadline_missed = true;
+                    self.stats.deadline_misses += 1;
+                    nfm_obs::counter!("serve.deadline_misses").inc();
+                }
+                Err(InferError::EmptyInput) => {}
             }
         }
         self.stats.answered_fallback += 1;
         nfm_obs::counter!("serve.answered_fallback").inc();
         nfm_obs::histogram!("serve.request.cost", nfm_obs::Unit::Cost, nfm_obs::COST_EDGES)
-            .observe(budget - remaining);
+            .observe(cost);
         Response {
             flow: request.flow,
             class: self.fallback.predict(&request.tokens),
             responder: Responder::Fallback,
-            cost: budget - remaining,
-            retries: retries_used,
+            cost,
             deadline_missed,
         }
     }
@@ -1207,7 +1149,7 @@ pub struct MultiTaskStats {
 ///
 /// Semantically the server is K independent [`ServeEngine`]s (the
 /// *lanes*), one per task, each with its own admission queue, shed RNG,
-/// circuit breaker, retry/deadline state machine, [`ServeStats`], drift
+/// circuit breaker, deadline state machine, [`ServeStats`], drift
 /// monitor, and quarantine buffer — all seeded exactly as a standalone
 /// engine with the same [`ServeConfig`] would be. Only the *compute* is
 /// shared: [`MultiTaskServer::drain`] collects every lane's queued work,
@@ -1406,7 +1348,7 @@ impl MultiTaskServer {
     /// cached in the scratch arena, gathers each task's pending rows out
     /// of the pooled cache ([`ScratchArena::take_gather`]) for one head
     /// GEMM per task per chunk, and finally replays every lane's answers
-    /// in admission order through the unchanged breaker/retry/deadline
+    /// in admission order through the unchanged breaker/deadline
     /// state machine.
     pub fn drain(&mut self) -> Vec<Vec<Response>> {
         let mut out: Vec<Vec<Response>> = self.lanes.iter().map(|_| Vec::new()).collect();
@@ -1416,19 +1358,20 @@ impl MultiTaskServer {
         if pending.iter().all(|p| p.is_empty()) {
             return out;
         }
-        // Distinct flows in first-appearance order, with the union of the
-        // lanes that queued each one.
-        let mut uniq: Vec<ServeRequest> = Vec::new();
+        // Distinct flows in first-appearance order, each named by the
+        // `(lane, position)` of its first occurrence in `pending`, with the
+        // union of the lanes that queued it. The dedup map borrows the
+        // queued tokens instead of copying them.
+        let mut uniq: Vec<(usize, usize)> = Vec::new();
         let mut need: Vec<u64> = Vec::new();
-        let mut index: std::collections::HashMap<(usize, Vec<String>), usize> =
-            std::collections::HashMap::new();
         let mut uniq_of: Vec<Vec<usize>> = Vec::with_capacity(pending.len());
+        let mut index: std::collections::HashMap<(usize, &[String]), usize> =
+            std::collections::HashMap::new();
         for (k, reqs) in pending.iter().enumerate() {
             let mut map = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let key = (r.flow, r.tokens.clone());
-                let u = *index.entry(key).or_insert_with(|| {
-                    uniq.push(r.clone());
+            for (pos, r) in reqs.iter().enumerate() {
+                let u = *index.entry((r.flow, r.tokens.as_slice())).or_insert_with(|| {
+                    uniq.push((k, pos));
                     need.push(0);
                     uniq.len() - 1
                 });
@@ -1437,6 +1380,8 @@ impl MultiTaskServer {
             }
             uniq_of.push(map);
         }
+        drop(index);
+        let tokens_of = |u: usize| pending[uniq[u].0][uniq[u].1].tokens.as_slice();
         // Per-(lane, unique) precomputed outcomes, filled chunk by chunk.
         let budget = self.config.deadline_budget;
         let d_model = self.backbone.d_model();
@@ -1449,17 +1394,16 @@ impl MultiTaskServer {
             // fan-out cost of each flow (encoder once + selected heads).
             let mut end = start + 1;
             let mut planned =
-                self.fanout_cost(uniq[start].tokens.len(), TaskSet::from_mask(need[start]));
+                self.fanout_cost(tokens_of(start).len(), TaskSet::from_mask(need[start]));
             while end < uniq.len() && end - start < max_batch {
-                let cost = self.fanout_cost(uniq[end].tokens.len(), TaskSet::from_mask(need[end]));
+                let cost = self.fanout_cost(tokens_of(end).len(), TaskSet::from_mask(need[end]));
                 if planned.saturating_add(cost) > self.config.batch_cost_budget {
                     break;
                 }
                 planned = planned.saturating_add(cost);
                 end += 1;
             }
-            let chunk = &uniq[start..end];
-            let tokens: Vec<&[String]> = chunk.iter().map(|r| r.tokens.as_slice()).collect();
+            let tokens: Vec<&[String]> = (start..end).map(tokens_of).collect();
             let pb = self.backbone.pooled_batch_within(&tokens, budget, &mut self.arena);
             self.stats.batches += 1;
             self.stats.encoder_rows += pb.rows.len();
@@ -1804,7 +1748,6 @@ mod tests {
         let (clf, fallback, trace) = tiny_engine_parts();
         let config = ServeConfig {
             breaker: BreakerConfig { failure_threshold: 2, cooldown: 3, probes_to_close: 1 },
-            retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
             ..ServeConfig::default()
         };
         let mut engine = ServeEngine::new(clf, fallback, config);
@@ -1824,7 +1767,6 @@ mod tests {
         let mid = engine.stats();
         assert!(mid.breaker_trips >= 1, "breaker must trip");
         assert!(mid.model_failures >= config.breaker.failure_threshold);
-        assert!(mid.retries > 0, "transient-fault retries were attempted");
         assert_eq!(mid.answered_model + mid.answered_fallback, mid.admitted);
         // Phase 3: heal the weights; half-open probes recover the breaker.
         let mut slot = 0usize;
@@ -1962,7 +1904,6 @@ mod tests {
             shed_watermark: 3,
             deadline_budget: 2_000_000,
             breaker: BreakerConfig { failure_threshold: 2, cooldown: 3, probes_to_close: 1 },
-            retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
             ..ServeConfig::default()
         };
         let run = |max_batch: usize| {
@@ -2018,7 +1959,6 @@ mod tests {
             Fallback::Gru(Box::new(gru)),
             ServeConfig {
                 breaker: BreakerConfig { failure_threshold: 1, cooldown: 1000, probes_to_close: 1 },
-                retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
                 ..ServeConfig::default()
             },
         );

@@ -398,22 +398,19 @@ fn arb_serve_config() -> impl Strategy<Value = ServeConfig> {
     (
         (2usize..=16, 0usize..16, prop_oneof![Just(u64::MAX), 0u64..400_000]),
         (1usize..5, 1usize..6, 1usize..3),
-        (0usize..3, prop_oneof![Just(u64::MAX), Just(2_000_000u64), 10_000u64..300_000]),
+        prop_oneof![Just(u64::MAX), Just(2_000_000u64), 10_000u64..300_000],
     )
-        .prop_map(|((cap, mark, bcb), (thresh, cool, probes), (retries, deadline))| {
-            ServeConfig {
-                queue_capacity: cap,
-                shed_watermark: mark,
-                deadline_budget: deadline,
-                batch_cost_budget: bcb,
-                breaker: BreakerConfig {
-                    failure_threshold: thresh,
-                    cooldown: cool,
-                    probes_to_close: probes,
-                },
-                retry: RetryPolicy { max_retries: retries, ..RetryPolicy::default() },
-                ..ServeConfig::default()
-            }
+        .prop_map(|((cap, mark, bcb), (thresh, cool, probes), deadline)| ServeConfig {
+            queue_capacity: cap,
+            shed_watermark: mark,
+            deadline_budget: deadline,
+            batch_cost_budget: bcb,
+            breaker: BreakerConfig {
+                failure_threshold: thresh,
+                cooldown: cool,
+                probes_to_close: probes,
+            },
+            ..ServeConfig::default()
         })
 }
 
@@ -453,7 +450,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: for every batch size, batch cost budget,
-    /// deadline, breaker/retry configuration, and fault schedule, the
+    /// deadline, breaker configuration, and fault schedule, the
     /// micro-batched serving path answers bitwise identically —
     /// flow-for-flow, cost-for-cost — to the unbatched path, and to
     /// repeated [`ServeEngine::serve_one`] over the admitted requests.

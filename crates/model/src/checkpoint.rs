@@ -273,8 +273,8 @@ mod tests {
         assert_eq!(params_of(&mut enc), params_of(&mut back));
         // Same forward output, bit for bit.
         let ids = [2usize, 7, 9, 3];
-        let a = enc.forward_inference(&ids);
-        let b = back.forward_inference(&ids);
+        let a = enc.forward(&ids);
+        let b = back.forward(&ids);
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

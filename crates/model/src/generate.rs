@@ -8,6 +8,7 @@
 //! conditional distributions until the sequence stabilizes.
 
 use nfm_tensor::matrix::Matrix;
+use nfm_tensor::scratch::ScratchArena;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,6 +87,7 @@ pub fn generate(
 
     let first_free = 1 + prompt.len();
     let last = 1 + body; // index of [SEP]
+    let mut arena = ScratchArena::new();
     for sweep in 0..config.sweeps.max(1) {
         for pos in first_free..last {
             // Re-mask the position being resampled (except sweep 0, where
@@ -93,8 +95,9 @@ pub fn generate(
             if sweep > 0 {
                 ids[pos] = vocab.mask_id();
             }
-            let hidden = encoder.forward_inference(&ids);
+            let (hidden, _) = encoder.forward_inference_batch(&[&ids], &mut arena);
             let logits = head.forward_inference(&hidden);
+            arena.put(hidden);
             // Suppress special tokens.
             let mut row: Vec<f32> = logits.row(pos).to_vec();
             for logit in row.iter_mut().take(5) {

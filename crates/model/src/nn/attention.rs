@@ -1,6 +1,7 @@
 //! Multi-head self-attention with an explicit, gradient-checked backward
-//! pass. Sequences are processed unpadded one at a time (T×d matrices), so
-//! no attention mask is needed.
+//! pass. Training processes one unpadded sequence at a time (T×d matrices);
+//! inference packs several sequences row-wise and attends within each
+//! sequence's row block, so no attention mask is needed either way.
 
 use nfm_tensor::layers::{Linear, Module};
 use nfm_tensor::matrix::{dot, dot8, Matrix};
@@ -51,8 +52,8 @@ fn head_insert(dst: &mut Matrix, src: &Matrix, head: usize, d_head: usize) {
 
 /// Approximate flop count of one attention pass over a T-row input: the
 /// two T×T×d_head matmuls per head dominate, summed across heads. Used to
-/// gate head-level parallelism — serving single short sequences through a
-/// small model must not pay a thread spawn per layer per request.
+/// gate head-level parallelism in training — short sequences through a
+/// small model must not pay a thread spawn per layer per sequence.
 fn attend_work(t: usize, d_model: usize) -> usize {
     4 * t * t * d_model
 }
@@ -74,24 +75,21 @@ impl MultiHeadAttention {
 
     /// Forward pass over one sequence `x` (T×d), caching for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, cache) = self.compute(x, true);
-        self.cache = cache;
-        y
-    }
-
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let d_head = self.d_model / self.n_heads;
-        let q = self.wq.forward_inference(x);
-        let k = self.wk.forward_inference(x);
-        let v = self.wv.forward_inference(x);
+        let (q, k, v) = (self.wq.forward(x), self.wk.forward(x), self.wv.forward(x));
+        // Heads are independent; par_map returns them in head order, so the
+        // concat/probs layout matches the sequential loop exactly.
         let work = attend_work(x.rows(), self.d_model);
-        let heads = pool::par_map_work(self.n_heads, work, |h| attend(&q, &k, &v, h, d_head).0);
+        let heads = pool::par_map_work(self.n_heads, work, |h| attend(&q, &k, &v, h, d_head));
         let mut concat = Matrix::zeros(x.rows(), self.d_model);
-        for (h, oh) in heads.iter().enumerate() {
-            head_insert(&mut concat, oh, h, d_head);
+        let mut probs = Vec::with_capacity(self.n_heads);
+        for (h, (oh, p)) in heads.into_iter().enumerate() {
+            head_insert(&mut concat, &oh, h, d_head);
+            probs.push(p);
         }
-        self.wo.forward_inference(&concat)
+        let y = self.wo.forward(&concat);
+        self.cache = Some(Cache { q, k, v, probs, concat });
+        y
     }
 
     /// Packed-batch inference: `x` holds several sequences concatenated
@@ -99,15 +97,15 @@ impl MultiHeadAttention {
     /// The Q/K/V/O projections run as single large GEMMs over the packed
     /// rows (per-output-row reductions, so each row's bits are independent
     /// of its neighbours), while attention itself iterates per sequence per
-    /// head — exactly the [`MultiHeadAttention::forward_inference`]
+    /// head — exactly the training [`MultiHeadAttention::forward`]
     /// arithmetic on that sequence's row block, but computed straight off
     /// the packed Q/K/V with strided head views: no head-slice copies, no
     /// per-head output matrices, head results accumulated directly into the
     /// concat buffer. Scores use the same [`dot`] kernel `matmul_nt` runs
     /// on materialised slices and the `probs·V` product accumulates over
-    /// ascending `p` like `matmul`, so every bit matches the
-    /// single-sequence path. Activations come from `arena` and are retired
-    /// back into it.
+    /// ascending `p` like `matmul`, so every bit matches the training
+    /// forward on that sequence alone. Activations come from `arena` and
+    /// are retired back into it.
     pub fn forward_inference_batch(
         &self,
         x: &Matrix,
@@ -258,32 +256,6 @@ impl MultiHeadAttention {
         self.cache.as_ref().map(|c| c.probs.as_slice())
     }
 
-    fn compute(&mut self, x: &Matrix, train: bool) -> (Matrix, Option<Cache>) {
-        let d_head = self.d_model / self.n_heads;
-        let (q, k, v) = if train {
-            (self.wq.forward(x), self.wk.forward(x), self.wv.forward(x))
-        } else {
-            (
-                self.wq.forward_inference(x),
-                self.wk.forward_inference(x),
-                self.wv.forward_inference(x),
-            )
-        };
-        // Heads are independent; par_map returns them in head order, so the
-        // concat/probs layout matches the sequential loop exactly.
-        let work = attend_work(x.rows(), self.d_model);
-        let heads = pool::par_map_work(self.n_heads, work, |h| attend(&q, &k, &v, h, d_head));
-        let mut concat = Matrix::zeros(x.rows(), self.d_model);
-        let mut probs = Vec::with_capacity(self.n_heads);
-        for (h, (oh, p)) in heads.into_iter().enumerate() {
-            head_insert(&mut concat, &oh, h, d_head);
-            probs.push(p);
-        }
-        let y = if train { self.wo.forward(&concat) } else { self.wo.forward_inference(&concat) };
-        let cache = train.then(|| Cache { q, k, v, probs, concat: concat.clone() });
-        (y, cache)
-    }
-
     /// Backward pass; returns dL/dx.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let cache = self.cache.take().expect("forward before backward");
@@ -376,18 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn train_and_inference_forward_agree() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
-        let x = init::normal(&mut rng, 4, 8, 1.0);
-        let y_train = attn.forward(&x);
-        let y_inf = attn.forward_inference(&x);
-        for (a, b) in y_train.data().iter().zip(y_inf.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
@@ -398,7 +358,7 @@ mod tests {
 
         let eps = 1e-2;
         let loss = |attn: &MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = attn.forward_inference(x);
+            let y = attn.clone().forward(x);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut max_rel = 0.0f32;
@@ -434,7 +394,7 @@ mod tests {
         });
         let eps = 1e-2;
         let loss = |attn: &MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = attn.forward_inference(x);
+            let y = attn.clone().forward(x);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut orig = 0.0;
@@ -463,29 +423,33 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_matches_single_sequences_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let attn = MultiHeadAttention::new(&mut rng, 16, 4);
-        let seqs = [
-            init::normal(&mut rng, 3, 16, 0.8),
-            init::normal(&mut rng, 7, 16, 0.8),
-            init::normal(&mut rng, 1, 16, 0.8),
-        ];
-        let packed = Matrix::vstack(&[&seqs[0], &seqs[1], &seqs[2]]);
-        let bounds = [0usize, 3, 10, 11];
-        let mut arena = ScratchArena::new();
-        // Run twice: the second pass exercises warm (reused, dirty) buffers.
-        for _ in 0..2 {
-            let y = attn.forward_inference_batch(&packed, &bounds, &mut arena);
-            for (s, x) in seqs.iter().enumerate() {
-                let single = attn.forward_inference(x);
-                for r in 0..x.rows() {
-                    let got: Vec<u32> = y.row(bounds[s] + r).iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = single.row(r).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "seq {s} row {r}");
+    fn packed_batch_matches_training_forward_bitwise() {
+        // d_head 4 takes the generic `dot` scores, d_head 8 the `dot8` ones.
+        for n_heads in [4, 2] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let attn = MultiHeadAttention::new(&mut rng, 16, n_heads);
+            let seqs = [
+                init::normal(&mut rng, 3, 16, 0.8),
+                init::normal(&mut rng, 7, 16, 0.8),
+                init::normal(&mut rng, 1, 16, 0.8),
+            ];
+            let packed = Matrix::vstack(&[&seqs[0], &seqs[1], &seqs[2]]);
+            let bounds = [0usize, 3, 10, 11];
+            let mut arena = ScratchArena::new();
+            // Run twice: the second pass exercises warm (reused, dirty) buffers.
+            for pass in 0..2 {
+                let y = attn.forward_inference_batch(&packed, &bounds, &mut arena);
+                for (s, x) in seqs.iter().enumerate() {
+                    let want = attn.clone().forward(x);
+                    for r in 0..x.rows() {
+                        let got: Vec<u32> =
+                            y.row(bounds[s] + r).iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u32> = want.row(r).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "heads {n_heads} pass {pass} seq {s} row {r}");
+                    }
                 }
+                arena.put(y);
             }
-            arena.put(y);
         }
     }
 

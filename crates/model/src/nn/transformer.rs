@@ -1,13 +1,17 @@
 //! The BERT-style transformer encoder: token + learned position embeddings,
 //! post-LN encoder blocks (attention and feed-forward sublayers with
-//! residuals), processed one unpadded sequence at a time.
+//! residuals). Training runs one unpadded sequence at a time
+//! ([`Encoder::forward`]); inference has one entry point,
+//! [`Encoder::forward_inference_batch`], which packs any number of
+//! sequences (one included) and reproduces the training forward bit for
+//! bit.
 //!
-//! For serving under deadlines, [`Encoder::forward_inference_within`] is a
-//! budgeted entry point: inference cost is metered in deterministic
-//! multiply-accumulate units (a reproducible proxy for wall time), checked
-//! before every encoder block, and the call returns a typed
-//! [`InferError::DeadlineExceeded`] instead of starting work it cannot
-//! afford.
+//! For serving under deadlines, inference cost is metered in deterministic
+//! multiply-accumulate units (a reproducible proxy for wall time). Cost
+//! depends only on sequence length, so [`Encoder::plan_inference_cost`]
+//! decides before any compute whether a request fits its budget, and
+//! returns a typed [`InferError::DeadlineExceeded`] instead of starting work
+//! it cannot afford.
 
 use std::fmt;
 
@@ -109,19 +113,6 @@ impl EncoderBlock {
         self.ln2.forward(&r2)
     }
 
-    fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let a = self.attn.forward_inference(x);
-        let mut r1 = x.clone();
-        r1.add_assign(&a);
-        let h1 = self.ln1.forward_inference(&r1);
-        let f = self
-            .ff2
-            .forward_inference(&self.gelu.forward_inference(&self.ff1.forward_inference(&h1)));
-        let mut r2 = h1.clone();
-        r2.add_assign(&f);
-        self.ln2.forward_inference(&r2)
-    }
-
     /// Packed-batch inference over concatenated sequences (rows of `x`;
     /// sequence `s` owns rows `bounds[s]..bounds[s+1]`). Linear/LayerNorm/
     /// GELU sublayers operate per row, so they run once over the packed
@@ -129,7 +120,7 @@ impl EncoderBlock {
     /// [`MultiHeadAttention::forward_inference_batch`]. Takes ownership of
     /// `x` to reuse its buffer for the first residual; every intermediate
     /// comes from (and retires into) `arena`. Bitwise identical, row for
-    /// row, to [`EncoderBlock::forward_inference`] on each sequence.
+    /// row, to the training forward on each sequence.
     fn forward_inference_batch(
         &self,
         mut x: Matrix,
@@ -139,7 +130,7 @@ impl EncoderBlock {
         let (rows, d) = (x.rows(), x.cols());
         let a = self.attn.forward_inference_batch(&x, bounds, arena);
         // r1 = x + a, reusing x's buffer (same `+=` arithmetic as the
-        // single-sequence `r1 = x.clone(); r1 += a`).
+        // training forward's `r1 = x.clone(); r1 += a`).
         x.add_assign(&a);
         arena.put(a);
         let mut h1 = arena.take(rows, d);
@@ -257,20 +248,6 @@ impl Encoder {
         h
     }
 
-    /// Forward without caching (inference).
-    pub fn forward_inference(&self, ids: &[usize]) -> Matrix {
-        let ids = self.clamp_ids(ids);
-        assert!(!ids.is_empty(), "empty sequence");
-        let positions: Vec<usize> = (0..ids.len()).collect();
-        let mut x = self.tok_emb.lookup(ids);
-        x.add_assign(&self.pos_emb.lookup(&positions));
-        let mut h = self.emb_ln.forward_inference(&x);
-        for block in &self.blocks {
-            h = block.forward_inference(&h);
-        }
-        h
-    }
-
     /// Deterministic cost (multiply-accumulate units) of running one
     /// encoder block on a `t`-token sequence: QKV/output projections,
     /// attention scores, and the feed-forward sublayer.
@@ -294,43 +271,6 @@ impl Encoder {
         self.embed_cost(t) + self.config.n_layers as u64 * self.block_cost(t)
     }
 
-    /// Budgeted inference: like [`Encoder::forward_inference`], but meters
-    /// deterministic cost units against `budget`, checking **before** each
-    /// encoder block so no work is started that the deadline cannot cover.
-    /// Returns the hidden states and the cost actually spent, or a typed
-    /// [`InferError`] (never panics — including on empty input, which the
-    /// unbudgeted path asserts on).
-    pub fn forward_inference_within(
-        &self,
-        ids: &[usize],
-        budget: u64,
-    ) -> Result<(Matrix, u64), InferError> {
-        let ids = self.clamp_ids(ids);
-        if ids.is_empty() {
-            return Err(InferError::EmptyInput);
-        }
-        let mut spent = 0u64;
-        let mut charge = |needed: u64| -> Result<(), InferError> {
-            if spent + needed > budget {
-                Err(InferError::DeadlineExceeded { spent, needed, budget })
-            } else {
-                spent += needed;
-                Ok(())
-            }
-        };
-        charge(self.embed_cost(ids.len()))?;
-        let positions: Vec<usize> = (0..ids.len()).collect();
-        let mut x = self.tok_emb.lookup(ids);
-        x.add_assign(&self.pos_emb.lookup(&positions));
-        let mut h = self.emb_ln.forward_inference(&x);
-        let block_cost = self.block_cost(ids.len());
-        for block in &self.blocks {
-            charge(block_cost)?;
-            h = block.forward_inference(&h);
-        }
-        Ok((h, spent))
-    }
-
     /// Packed-batch inference over several token sequences at once: clamps
     /// each sequence to `max_len`, concatenates them row-wise, and runs
     /// embeddings, layer norms, and all linear projections as single
@@ -341,11 +281,13 @@ impl Encoder {
     /// Every per-row computation in the stack (GEMM output rows, layer
     /// norm, GELU, embedding gathers) is independent of neighbouring rows
     /// and of the total row count, so each sequence's block of the output
-    /// is bitwise identical to [`Encoder::forward_inference`] on that
-    /// sequence alone. Scratch matrices come from `arena`, which after the
-    /// first batch serves every request from warm buffers.
+    /// is bitwise identical to the training [`Encoder::forward`] on that
+    /// sequence alone. This is the encoder's only inference forward: a
+    /// single request is a batch of one. Scratch matrices come from
+    /// `arena`, which after the first batch serves every request from warm
+    /// buffers.
     ///
-    /// Panics if any sequence is empty (mirroring the single-sequence
+    /// Panics if any sequence is empty (mirroring the training forward's
     /// assert); budgeted callers must filter affordable, non-empty
     /// sequences first (see [`Encoder::plan_inference_cost`]).
     pub fn forward_inference_batch(
@@ -381,13 +323,15 @@ impl Encoder {
         (h, bounds)
     }
 
-    /// Replay the exact charge schedule [`Encoder::forward_inference_within`]
-    /// walks for a `t`-token (pre-clamp) sequence against `budget`, without
-    /// doing any compute: the embedding charge, then one block charge per
-    /// layer. Returns the encoder cost it would spend, or the identical
-    /// [`InferError::DeadlineExceeded`] (same `spent`/`needed`/`budget`
-    /// fields) the budgeted forward would produce. The batch scheduler uses
-    /// this to give unaffordable requests their deterministic refusal
+    /// The deadline check for a `t`-token (pre-clamp) sequence against
+    /// `budget`, without doing any compute: the embedding charge, then one
+    /// block charge per layer, each checked before it is spent. Returns the
+    /// encoder cost the forward spends, or a typed [`InferError`]:
+    /// [`InferError::EmptyInput`] for a zero-length sequence, or
+    /// [`InferError::DeadlineExceeded`] naming the charge that did not fit.
+    /// Cost depends only on length, so budgeted inference is this plan
+    /// followed by [`Encoder::forward_inference_batch`] on the sequences it
+    /// accepts; unaffordable requests get their deterministic refusal
     /// without holding up the rest of the batch.
     pub fn plan_inference_cost(&self, t: usize, budget: u64) -> Result<u64, InferError> {
         let t = t.min(self.config.max_len);
@@ -429,22 +373,8 @@ impl Encoder {
 
     /// The `[CLS]` (first-position) embedding of a sequence, inference mode.
     pub fn cls_embedding(&self, ids: &[usize]) -> Vec<f32> {
-        self.forward_inference(ids).row(0).to_vec()
-    }
-
-    /// Mean-pooled hidden state, inference mode.
-    pub fn mean_embedding(&self, ids: &[usize]) -> Vec<f32> {
-        let h = self.forward_inference(ids);
-        let mut out = vec![0.0f32; h.cols()];
-        for r in 0..h.rows() {
-            for (o, v) in out.iter_mut().zip(h.row(r)) {
-                *o += v;
-            }
-        }
-        for o in &mut out {
-            *o /= h.rows() as f32;
-        }
-        out
+        let (h, _) = self.forward_inference_batch(&[ids], &mut ScratchArena::new());
+        h.row(0).to_vec()
     }
 }
 
@@ -487,17 +417,6 @@ mod tests {
         let h = enc.forward(&[2, 5, 6, 7, 3]);
         assert_eq!((h.rows(), h.cols()), (5, 16));
         assert!(h.is_finite());
-    }
-
-    #[test]
-    fn train_and_inference_agree() {
-        let (mut enc, _) = small();
-        let ids = [2usize, 9, 10, 3];
-        let a = enc.forward(&ids);
-        let b = enc.forward_inference(&ids);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-4);
-        }
     }
 
     #[test]
@@ -550,7 +469,7 @@ mod tests {
             slot += 1;
         });
         let loss = |enc: &Encoder| -> f32 {
-            let h = enc.forward_inference(&ids);
+            let h = enc.clone().forward(&ids);
             0.5 * h.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut orig = 0.0;
@@ -584,59 +503,11 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_inference_matches_unbudgeted_when_affordable() {
-        let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
-        assert!(cost > 0);
-        let (h, spent) = enc.forward_inference_within(&ids, cost).expect("exact budget suffices");
-        assert_eq!(spent, cost);
-        let full = enc.forward_inference(&ids);
-        assert_eq!(h.data(), full.data(), "budgeted path computes the same hidden states");
-    }
-
-    #[test]
-    fn budgeted_inference_rejects_tight_budgets_deterministically() {
-        let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
-        let err = enc.forward_inference_within(&ids, cost - 1).expect_err("one unit short");
-        match err {
-            InferError::DeadlineExceeded { spent, needed, budget } => {
-                assert_eq!(budget, cost - 1);
-                assert!(spent + needed > budget);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        // Zero budget fails before any block runs; the error displays.
-        let err = enc.forward_inference_within(&ids, 0).expect_err("zero budget");
-        assert!(err.to_string().contains("deadline exceeded"));
-        // Same inputs, same verdict: the proxy is reproducible.
-        assert_eq!(
-            enc.forward_inference_within(&ids, cost - 1).unwrap_err(),
-            enc.forward_inference_within(&ids, cost - 1).unwrap_err(),
-        );
-    }
-
-    #[test]
-    fn budgeted_inference_handles_empty_and_overlong_input() {
-        let (enc, _) = small();
-        assert_eq!(enc.forward_inference_within(&[], u64::MAX), Err(InferError::EmptyInput));
-        // Sequences past max_len are clamped, and the cost model agrees.
-        let ids: Vec<usize> = (0..40).map(|i| i % 20).collect();
-        let cost = enc.inference_cost(ids.len());
-        assert_eq!(cost, enc.inference_cost(enc.config.max_len));
-        let (h, spent) = enc.forward_inference_within(&ids, cost).expect("clamped fits");
-        assert_eq!(h.rows(), enc.config.max_len);
-        assert_eq!(spent, cost);
-    }
-
-    #[test]
-    fn packed_batch_forward_matches_single_sequences_bitwise() {
+    fn packed_batch_forward_matches_training_forward_bitwise() {
         let (enc, _) = small();
         let seqs: Vec<Vec<usize>> = vec![
             vec![2, 5, 6, 7, 3],
-            vec![2, 3],
+            vec![2],
             vec![2, 9, 10, 11, 12, 13, 14, 3],
             (0..40).map(|i| i % 20).collect(), // clamped to max_len
         ];
@@ -647,40 +518,52 @@ mod tests {
             let (h, bounds) = enc.forward_inference_batch(&refs, &mut arena);
             assert_eq!(bounds.len(), seqs.len() + 1);
             for (s, ids) in seqs.iter().enumerate() {
-                let single = enc.forward_inference(ids);
-                assert_eq!(bounds[s + 1] - bounds[s], single.rows(), "seq {s} rows");
-                for r in 0..single.rows() {
+                let want = enc.clone().forward(ids);
+                assert_eq!(bounds[s + 1] - bounds[s], want.rows(), "seq {s} rows");
+                for r in 0..want.rows() {
                     let got: Vec<u32> = h.row(bounds[s] + r).iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = single.row(r).iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.row(r).iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "pass {pass} seq {s} row {r}");
                 }
             }
+            assert_eq!(bounds[4] - bounds[3], enc.config.max_len, "over-long input clamps");
             arena.put(h);
         }
         assert!(arena.available() > 0, "buffers were retired for reuse");
     }
 
     #[test]
-    fn plan_inference_cost_mirrors_budgeted_forward_exactly() {
+    fn plan_inference_cost_checks_every_charge() {
         let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
-        // Affordable: spent agrees with the real budgeted forward.
-        assert_eq!(enc.plan_inference_cost(ids.len(), cost), Ok(cost));
-        // Every refusal budget yields the identical typed error.
-        for budget in [0u64, 1, cost / 2, cost - 1] {
-            assert_eq!(
-                enc.plan_inference_cost(ids.len(), budget),
-                enc.forward_inference_within(&ids, budget).map(|(_, spent)| spent),
-                "budget {budget}"
-            );
-        }
-        assert_eq!(enc.plan_inference_cost(0, u64::MAX), Err(InferError::EmptyInput));
-        // Over-long sequences clamp the same way the forward does.
+        let t = 5;
+        let cost = enc.inference_cost(t);
+        assert!(cost > 0);
+        // An exact budget suffices and reports the whole cost.
+        assert_eq!(enc.plan_inference_cost(t, cost), Ok(cost));
+        // One unit short fails at the last block's charge.
+        let short = enc.plan_inference_cost(t, cost - 1);
         assert_eq!(
-            enc.plan_inference_cost(40, u64::MAX),
-            Ok(enc.inference_cost(enc.config.max_len))
+            short,
+            Err(InferError::DeadlineExceeded {
+                spent: cost - enc.block_cost(t),
+                needed: enc.block_cost(t),
+                budget: cost - 1,
+            })
         );
+        // Same inputs, same verdict: the proxy is reproducible.
+        assert_eq!(short, enc.plan_inference_cost(t, cost - 1));
+        // Zero budget fails before the embedding; the error displays.
+        let zero = enc.plan_inference_cost(t, 0).expect_err("zero budget");
+        assert_eq!(
+            zero,
+            InferError::DeadlineExceeded { spent: 0, needed: enc.embed_cost(t), budget: 0 }
+        );
+        assert!(zero.to_string().contains("deadline exceeded"));
+        assert_eq!(enc.plan_inference_cost(0, u64::MAX), Err(InferError::EmptyInput));
+        assert!(InferError::EmptyInput.to_string().contains("empty"));
+        // Over-long sequences clamp the same way the forward does.
+        assert_eq!(enc.inference_cost(40), enc.inference_cost(enc.config.max_len));
+        assert_eq!(enc.plan_inference_cost(40, cost * 100), Ok(enc.inference_cost(40)));
     }
 
     #[test]
@@ -692,12 +575,14 @@ mod tests {
     }
 
     #[test]
-    fn cls_and_mean_embeddings() {
+    fn cls_embedding_is_the_first_hidden_row() {
         let (enc, _) = small();
         let cls = enc.cls_embedding(&[2, 5, 3]);
-        let mean = enc.mean_embedding(&[2, 5, 3]);
+        let want = enc.clone().forward(&[2, 5, 3]);
         assert_eq!(cls.len(), 16);
-        assert_eq!(mean.len(), 16);
-        assert_ne!(cls, mean);
+        assert_eq!(
+            cls.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 }

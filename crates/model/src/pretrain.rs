@@ -12,6 +12,7 @@ use nfm_tensor::loss::{softmax_cross_entropy, IGNORE_INDEX};
 use nfm_tensor::matrix::Matrix;
 use nfm_tensor::optim::{clip_global_norm, Adam, Schedule};
 use nfm_tensor::pool;
+use nfm_tensor::scratch::ScratchArena;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -590,14 +591,19 @@ pub fn pretrain(
     let mut correct = 0usize;
     let mut total_masked = 0usize;
     let sample = encoded.len().min(200);
+    // One packed forward per sequence on a shared arena: a single forward
+    // over the whole sample gives the same bits but holds every row's
+    // activations at once (~8% more peak RSS on the perfbench `train`
+    // workload).
+    let mut arena = ScratchArena::new();
     for ids in encoded.iter().take(sample) {
         if ids.len() < 3 {
             continue;
         }
         let (input, targets) = mask_sequence(&mut eval_rng, ids, vocab, config.mask_prob, false);
-        let hidden = encoder.forward_inference(&input);
-        let logits = mlm_head.forward_inference(&hidden);
-        let preds = logits.argmax_rows();
+        let (hidden, _) = encoder.forward_inference_batch(&[&input], &mut arena);
+        let preds = mlm_head.forward_inference(&hidden).argmax_rows();
+        arena.put(hidden);
         for (i, &t) in targets.iter().enumerate() {
             if t != IGNORE_INDEX {
                 total_masked += 1;

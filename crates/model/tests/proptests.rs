@@ -13,6 +13,7 @@ use nfm_net::addr::MacAddr;
 use nfm_net::capture::TracePacket;
 use nfm_net::packet::Packet;
 use nfm_tensor::loss::IGNORE_INDEX;
+use nfm_tensor::scratch::ScratchArena;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,16 +121,23 @@ proptest! {
     }
 
     #[test]
-    fn encoder_is_finite_on_arbitrary_valid_ids(
-        ids in proptest::collection::vec(0usize..30, 1..20),
+    fn packed_forward_is_finite_and_matches_training_forward(
+        ids in proptest::collection::vec(0usize..30, 1..32),
         seed in 0u64..100,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = EncoderConfig { vocab: 30, d_model: 8, n_heads: 2, n_layers: 1, d_ff: 16, max_len: 24 };
         let enc = Encoder::new(&mut rng, cfg);
-        let h = enc.forward_inference(&ids);
+        let (h, bounds) = enc.forward_inference_batch(&[&ids], &mut ScratchArena::new());
         prop_assert!(h.is_finite());
         prop_assert_eq!(h.rows(), ids.len().min(24));
+        prop_assert_eq!(bounds, vec![0, h.rows()]);
+        // The packed inference forward reproduces the training forward.
+        let want = enc.clone().forward(&ids);
+        prop_assert_eq!(
+            h.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
